@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .grid import (
     Cell,
-    Configuration,
     Direction,
     Polyomino,
     canonical_free_form,
@@ -143,36 +142,17 @@ U_PENTOMINO = canonical_free_form(
 )
 
 
-def find_u_pentominoes(config: Configuration) -> list[tuple[str, Direction]]:
-    """(piece_id, world pocket opening) for every placement congruent to the U."""
-    found: list[tuple[str, Direction]] = []
-    for placement in config.placements:
-        if len(placement.shape) != 5:
-            continue
-        if canonical_free_form(placement.shape) != U_PENTOMINO:
-            continue
-        world = Polyomino(placement.cells)
-        for axis in ("x", "y"):
-            for pocket in pockets(world, axis):
-                found.append((placement.piece_id, pocket.opening))
-    return found
-
-
-def u_pocket_cells(placement_cells: frozenset[Cell]) -> tuple[frozenset[Cell], Direction] | None:
-    """Pocket cells and opening for a placed U-pentomino, None for other shapes.
-
-    Helper for grouping: works on world cells so openings are in world
-    coordinates.
-    """
-    if len(placement_cells) != 5:
+def u_pocket(cells: frozenset[Cell]) -> tuple[Cell, Direction] | None:
+    """Pocket cell and world opening of a placed U-pentomino, else None."""
+    if len(cells) != 5:
         return None
-    world = Polyomino(placement_cells)
-    if canonical_free_form(world) != U_PENTOMINO:
+    shape = Polyomino(cells)
+    if canonical_free_form(shape) != U_PENTOMINO:
         return None
     for axis in ("x", "y"):
-        found = pockets(world, axis)
-        if found:
-            return found[0].cells, found[0].opening
+        for pocket in pockets(shape, axis):
+            (cell,) = pocket.cells
+            return cell, pocket.opening
     raise AssertionError("a U-pentomino always has exactly one pocket")
 
 
@@ -187,9 +167,8 @@ __all__ = [
     "Pocket",
     "U_PENTOMINO",
     "classify",
-    "find_u_pentominoes",
     "is_monotone",
     "monotone_closure",
     "pockets",
-    "u_pocket_cells",
+    "u_pocket",
 ]

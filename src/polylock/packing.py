@@ -10,6 +10,7 @@ the same configuration.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -54,11 +55,15 @@ class PackingSpec:
         return self.width * self.height
 
 
+@functools.lru_cache(maxsize=16)
 def _shape_pools(
     max_cells: int, shape_filter: ShapeFilter | None
-) -> dict[int, list[tuple[Cell, ...]]]:
-    """Distinct oriented variants per size, largest sizes first."""
-    pools: dict[int, list[tuple[Cell, ...]]] = {}
+) -> tuple[tuple[int, tuple[tuple[Cell, ...], ...]], ...]:
+    """(size, distinct oriented variants) pairs, largest sizes first.
+
+    Cached per (max_cells, filter), so the pools are immutable tuples.
+    """
+    pools = []
     for size in range(max_cells, 0, -1):
         variants = {
             oriented.sorted_cells()
@@ -67,8 +72,8 @@ def _shape_pools(
             if shape_filter is None or shape_filter(oriented)
         }
         if variants:
-            pools[size] = sorted(variants)
-    return pools
+            pools.append((size, tuple(sorted(variants))))
+    return tuple(pools)
 
 
 def random_packing(
@@ -95,8 +100,7 @@ def random_packing(
         and filled < spec.target_density * spec.area
     ):
         placed = None
-        for size in sorted(pools, reverse=True):
-            variants = pools[size]
+        for _, variants in pools:
             for _ in range(spec.placement_attempts):
                 variant = variants[rng.randrange(len(variants))]
                 ax, ay = variant[rng.randrange(len(variant))]

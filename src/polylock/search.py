@@ -5,15 +5,25 @@ cell along an axis per move. `escaped` therefore proves the system is not
 interlocked, while `locked-within-budget` only certifies that no escape
 exists within the explored radius under this motion model.
 
-States are breadth-first explored and deduplicated up to two quotients:
+A state is stored as one tuple of per-piece offsets from the input
+configuration. Each piece's anchor (its lexicographically smallest cell)
+and bounding box are computed once; a translation moves both by the
+piece's offset and keeps the anchor smallest. States are breadth-first
+explored and deduplicated up to two quotients, both read from anchors:
 
 * global translation: every state is shifted so the lexicographically
   smallest occupied cell returns to its initial value, so the whole system
-  drifting together never counts as progress;
+  drifting together never counts as progress. That cell is the smallest
+  anchor, because the minimum of a union is the minimum of its parts;
 * piece identity: pieces with identical cell shapes (same up to
   translation, and not the designated key piece) are interchangeable, so
-  states that merely permute them coincide. Traces still name concrete
-  piece ids and replay legally.
+  states that merely permute them coincide. The state key is the sorted
+  (shape class, anchor) pairs: a translate of a shape is fixed by where its
+  anchor lands. Traces still name concrete piece ids and replay legally.
+
+The arena test reads the shifted bounding boxes: a piece lies inside the
+arena rectangle exactly when its bounding box does. Cells are built only
+once per expanded state, to test moves and escapes.
 """
 
 from __future__ import annotations
@@ -28,7 +38,6 @@ from .grid import (
     Cell,
     Configuration,
     Direction,
-    Placement,
     sweep_collides,
     translate_cells,
 )
@@ -67,53 +76,6 @@ class SearchBudget:
 
 
 @dataclass(frozen=True)
-class SearchState:
-    """A configuration reached by unit moves, as offsets from the base."""
-
-    base: Configuration
-    offsets: tuple[tuple[str, Cell], ...]
-
-    @classmethod
-    def initial(cls, config: Configuration) -> "SearchState":
-        return cls(
-            base=config,
-            offsets=tuple((pid, (0, 0)) for pid in sorted(config.piece_ids())),
-        )
-
-    def __post_init__(self):
-        if tuple(pid for pid, _ in self.offsets) != tuple(
-            sorted(self.base.piece_ids())
-        ):
-            raise ValueError("offsets must list every base piece once, sorted")
-
-    def offset_of(self, piece_id: str) -> Cell:
-        for pid, offset in self.offsets:
-            if pid == piece_id:
-                return offset
-        raise KeyError(f"no piece {piece_id!r} in state")
-
-    def configuration(self) -> Configuration:
-        moved = dict(self.offsets)
-        return Configuration.from_placements(
-            p.moved(*moved[p.piece_id]) for p in self.base.placements
-        )
-
-    def moved(self, piece_ids: frozenset[str], direction: Direction) -> "SearchState":
-        unknown = piece_ids - {pid for pid, _ in self.offsets}
-        if unknown:
-            raise KeyError(f"no piece {sorted(unknown)[0]!r} in state")
-        offsets = tuple(
-            (pid, (ox + direction.dx, oy + direction.dy))
-            if pid in piece_ids
-            else (pid, (ox, oy))
-            for pid, (ox, oy) in self.offsets
-        )
-        state = SearchState(self.base, offsets)
-        state.configuration()  # raises OverlapError when the move is illegal
-        return state
-
-
-@dataclass(frozen=True)
 class SearchVerdict:
     """Outcome of an escape search.
 
@@ -143,41 +105,48 @@ class KeyPieceAnswer:
 
 
 class _Engine:
-    """Expands unit moves over offset vectors for one base configuration."""
+    """Expands unit moves over offset vectors for one base configuration.
+
+    A state is only the tuple of per-piece offsets, in sorted id order. The
+    engine keeps each piece's base cells, its anchor (lexicographically
+    smallest base cell) and its bounding box. Translating a piece moves its
+    anchor and box by the same offset, so drift, arena and state key are
+    read from those in O(pieces); cells are built only to test moves.
+    """
 
     def __init__(self, config: Configuration, radius: int, key_piece: str | None = None):
         self.ids: tuple[str, ...] = tuple(sorted(config.piece_ids()))
         self.index = {pid: i for i, pid in enumerate(self.ids)}
-        self.base_cells = {pid: tuple(sorted(config.cells_of(pid))) for pid in self.ids}
+        self.base_cells = tuple(tuple(sorted(config.cells_of(pid))) for pid in self.ids)
+        self.anchors = tuple(cells[0] for cells in self.base_cells)
+        # sorted cells start and end on the piece's x bounds
+        self.boxes = tuple(
+            (cells[0][0], min(y for _, y in cells), cells[-1][0], max(y for _, y in cells))
+            for cells in self.base_cells
+        )
 
-        tags: dict[tuple[Cell, ...], str] = {}
-        self.tag: dict[str, str] = {}
-        for pid in self.ids:
-            cells = self.base_cells[pid]
-            mx = min(x for x, _ in cells)
-            my = min(y for _, y in cells)
-            normalized = tuple(sorted((x - mx, y - my) for x, y in cells))
-            if pid == key_piece:
-                self.tag[pid] = f"key:{pid}"
-            else:
-                self.tag[pid] = tags.setdefault(normalized, f"s{len(tags)}")
+        # congruent non-key pieces share a shape class; the key gets its own
+        shapes: dict[tuple[Cell, ...], int] = {}
+        self.classes = tuple(
+            -1
+            if pid == key_piece
+            else shapes.setdefault(
+                tuple((x - ax, y - ay) for x, y in cells), len(shapes)
+            )
+            for pid, cells, (ax, ay) in zip(self.ids, self.base_cells, self.anchors)
+        )
 
         min_x, min_y, max_x, max_y = config.bounding_box()
         self.arena = (min_x - radius, min_y - radius, max_x + radius, max_y + radius)
-        self.initial_min = min(
-            cell for pid in self.ids for cell in self.base_cells[pid]
-        )
-
-    def world(self, offsets: tuple[Cell, ...], pid: str) -> list[Cell]:
-        ox, oy = offsets[self.index[pid]]
-        return [(x + ox, y + oy) for x, y in self.base_cells[pid]]
+        self.initial_min = min(self.anchors)
 
     def normalize(self, offsets: tuple[Cell, ...]) -> tuple[Cell, ...]:
-        current_min = min(
-            cell for pid in self.ids for cell in self.world(offsets, pid)
+        mx, my = min(
+            (ax + ox, ay + oy)
+            for (ax, ay), (ox, oy) in zip(self.anchors, offsets)
         )
-        dx = self.initial_min[0] - current_min[0]
-        dy = self.initial_min[1] - current_min[1]
+        dx = self.initial_min[0] - mx
+        dy = self.initial_min[1] - my
         if dx == 0 and dy == 0:
             return offsets
         return tuple((ox + dx, oy + dy) for ox, oy in offsets)
@@ -185,35 +154,39 @@ class _Engine:
     def in_arena(self, offsets: tuple[Cell, ...]) -> bool:
         min_x, min_y, max_x, max_y = self.arena
         return all(
-            min_x <= x <= max_x and min_y <= y <= max_y
-            for pid in self.ids
-            for x, y in self.world(offsets, pid)
+            min_x <= x0 + ox and x1 + ox <= max_x
+            and min_y <= y0 + oy and y1 + oy <= max_y
+            for (x0, y0, x1, y1), (ox, oy) in zip(self.boxes, offsets)
         )
 
     def state_key(self, offsets: tuple[Cell, ...]):
-        anchors = []
-        for pid in self.ids:
-            cells = self.world(offsets, pid)
-            anchors.append((self.tag[pid], min(cells)))
-        return tuple(sorted(anchors))
+        return tuple(
+            sorted(
+                (shape, (ax + ox, ay + oy))
+                for shape, (ax, ay), (ox, oy) in zip(
+                    self.classes, self.anchors, offsets
+                )
+            )
+        )
 
     def _contact_subsets(
-        self, cells_by_id: dict[str, set[Cell]], cap: int
-    ) -> list[tuple[str, ...]]:
-        """Subsets of 2..cap pieces whose union touches edge-to-edge."""
-        touching = {pid: set() for pid in self.ids}
-        for a, b in itertools.combinations(self.ids, 2):
+        self, cells: list[set[Cell]], cap: int
+    ) -> list[tuple[int, ...]]:
+        """Index subsets of 2..cap pieces whose union touches edge-to-edge."""
+        count = len(cells)
+        touching: list[set[int]] = [set() for _ in range(count)]
+        for a, b in itertools.combinations(range(count), 2):
             expanded = {
                 (x + dx, y + dy)
-                for x, y in cells_by_id[a]
+                for x, y in cells[a]
                 for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
             }
-            if expanded & cells_by_id[b]:
+            if expanded & cells[b]:
                 touching[a].add(b)
                 touching[b].add(a)
         subsets = []
-        for size in range(2, min(cap, len(self.ids)) + 1):
-            for combo in itertools.combinations(self.ids, size):
+        for size in range(2, min(cap, count) + 1):
+            for combo in itertools.combinations(range(count), size):
                 chosen = set(combo)
                 seen = {combo[0]}
                 queue = [combo[0]]
@@ -225,64 +198,58 @@ class _Engine:
                     subsets.append(combo)
         return subsets
 
-    def _move_sets(
-        self, cells_by_id: dict[str, set[Cell]], mode: str, cap: int
-    ) -> list[tuple[str, ...]]:
-        sets: list[tuple[str, ...]] = [(pid,) for pid in self.ids]
+    def _split(
+        self, offsets: tuple[Cell, ...], mode: str, cap: int
+    ) -> Iterator[tuple[tuple[int, ...], set[Cell], set[Cell]]]:
+        """(piece indices, moving cells, other cells) for every move set."""
+        cells = [
+            {(x + ox, y + oy) for x, y in base}
+            for base, (ox, oy) in zip(self.base_cells, offsets)
+        ]
+        occupied = set().union(*cells)
+        combos: list[tuple[int, ...]] = [(i,) for i in range(len(cells))]
         if mode == SUBSET_MOVE:
-            sets.extend(self._contact_subsets(cells_by_id, cap))
-        return sets
+            combos.extend(self._contact_subsets(cells, cap))
+        for combo in combos:
+            moving = set().union(*(cells[i] for i in combo))
+            yield combo, moving, occupied - moving
 
     def unit_moves(
         self, offsets: tuple[Cell, ...], mode: str, cap: int
     ) -> Iterator[tuple[frozenset[str], Direction, tuple[Cell, ...]]]:
-        cells_by_id = {pid: set(self.world(offsets, pid)) for pid in self.ids}
-        for combo in self._move_sets(cells_by_id, mode, cap):
-            moving = set().union(*(cells_by_id[pid] for pid in combo))
-            others = set().union(
-                *(cells_by_id[pid] for pid in self.ids if pid not in combo)
-            )
+        for combo, moving, others in self._split(offsets, mode, cap):
             for direction in DIRECTIONS:
-                stepped = {
-                    (x + direction.dx, y + direction.dy) for x, y in moving
-                }
-                if stepped & others:
+                dx, dy = direction.value
+                if any((x + dx, y + dy) in others for x, y in moving):
                     continue
                 moved = tuple(
-                    (ox + direction.dx, oy + direction.dy)
-                    if self.ids[i] in combo
-                    else (ox, oy)
+                    (ox + dx, oy + dy) if i in combo else (ox, oy)
                     for i, (ox, oy) in enumerate(offsets)
                 )
-                yield frozenset(combo), direction, moved
+                yield frozenset(self.ids[i] for i in combo), direction, moved
 
     def escape_at(
         self, offsets: tuple[Cell, ...], mode: str, cap: int
     ) -> tuple[frozenset[str], Direction] | None:
         """First piece set whose infinite sweep clears everything else."""
-        cells_by_id = {pid: set(self.world(offsets, pid)) for pid in self.ids}
-        for combo in self._move_sets(cells_by_id, mode, cap):
-            if len(combo) == len(self.ids) and len(self.ids) > 1:
+        for combo, moving, others in self._split(offsets, mode, cap):
+            if len(combo) == len(self.ids) > 1:
                 continue
-            moving = set().union(*(cells_by_id[pid] for pid in combo))
-            others = set().union(
-                *(cells_by_id[pid] for pid in self.ids if pid not in combo)
-            )
             for direction in DIRECTIONS:
                 if not sweep_collides(moving, others, direction):
-                    return frozenset(combo), direction
+                    return frozenset(self.ids[i] for i in combo), direction
         return None
 
 
 def legal_moves(
-    state: SearchState,
+    config: Configuration,
     mode: str = SINGLE_PIECE,
     subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> list[tuple[frozenset[str], Direction]]:
-    """All legal unit moves from a state, in deterministic order."""
+    """All legal unit moves from a configuration, in deterministic order."""
     if mode not in (SINGLE_PIECE, SUBSET_MOVE):
         raise ValueError(f"mode must be {SINGLE_PIECE!r} or {SUBSET_MOVE!r}")
-    engine = _Engine(state.configuration(), radius=0)
+    engine = _Engine(config, radius=0)
     offsets = tuple((0, 0) for _ in engine.ids)
     return [
         (piece_ids, direction)
@@ -309,7 +276,7 @@ def _explore(
 ):
     """Shared BFS core; returns (status, payload, states_explored, trace)."""
     engine = _Engine(config, budget.radius, key_piece=key_piece)
-    start = engine.normalize(tuple((0, 0) for _ in engine.ids))
+    start = tuple((0, 0) for _ in engine.ids)
     start_key = engine.state_key(start)
     states = {start_key: (start, None, None)}
     payload = goal(engine, start)
@@ -450,7 +417,6 @@ __all__ = [
     "SINGLE_PIECE",
     "SUBSET_MOVE",
     "SearchBudget",
-    "SearchState",
     "SearchVerdict",
     "escape_search",
     "key_piece_reachable",

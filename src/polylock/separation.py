@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .classify import is_monotone, monotone_closure, u_pocket_cells
+from .classify import is_monotone, monotone_closure, u_pocket
 from .grid import (
     DIRECTIONS,
     Cell,
@@ -139,29 +139,32 @@ def blocking_graph(config: Configuration, direction: Direction) -> BlockingGraph
 
 
 def _find_cycle(blockers: dict[str, set[str]], nodes: set[str]) -> tuple[str, ...]:
-    """Some directed cycle in the blocked-by relation restricted to `nodes`."""
-    color: dict[str, int] = {}
-    path: list[str] = []
+    """Some directed cycle in the blocked-by relation restricted to `nodes`.
 
-    def visit(node: str) -> tuple[str, ...] | None:
-        color[node] = 1
-        path.append(node)
-        for nxt in sorted(blockers[node] & nodes):
-            if color.get(nxt) == 1:
-                return tuple(path[path.index(nxt):])
-            if nxt not in color:
-                found = visit(nxt)
-                if found is not None:
-                    return found
-        color[node] = 2
-        path.pop()
-        return None
-
-    for node in sorted(nodes):
-        if node not in color:
-            found = visit(node)
-            if found is not None:
-                return found
+    Depth-first with an explicit stack, so long blocking chains cannot
+    exhaust the interpreter's recursion limit.
+    """
+    done: set[str] = set()
+    for root in sorted(nodes):
+        if root in done:
+            continue
+        path = [root]
+        on_path = {root}
+        pending = [iter(sorted(blockers[root] & nodes))]
+        while pending:
+            for nxt in pending[-1]:
+                if nxt in on_path:
+                    return tuple(path[path.index(nxt):])
+                if nxt not in done:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    pending.append(iter(sorted(blockers[nxt] & nodes)))
+                    break
+            else:
+                node = path.pop()
+                on_path.remove(node)
+                done.add(node)
+                pending.pop()
     raise AssertionError("every stuck peel has a cycle to witness it")
 
 
@@ -235,21 +238,6 @@ def simulate_plan(config: Configuration, plan: SeparationPlan) -> SimulationRepo
     return SimulationReport(valid=not leftover, leftover=leftover)
 
 
-def _vertical_u_openings(config: Configuration) -> dict[str, tuple[Cell, Direction]]:
-    """Pocket cell and opening for each U-pentomino whose pocket opens in y."""
-    found: dict[str, tuple[Cell, Direction]] = {}
-    for placement in config.placements:
-        info = u_pocket_cells(placement.cells)
-        if info is None:
-            continue
-        pocket_cells, opening = info
-        if opening.axis != "y":
-            continue
-        (pocket,) = pocket_cells
-        found[placement.piece_id] = (pocket, opening)
-    return found
-
-
 def group_le5(config: Configuration) -> list[Group]:
     """Bundle vertically opening U-pentominoes with their pocket fillers.
 
@@ -281,8 +269,12 @@ def group_le5(config: Configuration) -> list[Group]:
         for placement in config.placements
         for cell in placement.cells
     }
-    vertical_us = _vertical_u_openings(config)
-    for pid, (pocket, _) in vertical_us.items():
+    vertical_us: dict[str, Cell] = {}
+    for placement in config.placements:
+        found = u_pocket(placement.cells)
+        if found is not None and found[1].axis == "y":
+            vertical_us[placement.piece_id] = found[0]
+    for pid, pocket in vertical_us.items():
         occupant = owner.get(pocket)
         if occupant is not None:
             union(pid, occupant)
@@ -331,11 +323,9 @@ def _exit_preferences(
     openings = {}
     pocket_of: dict[str, Cell] = {}
     for pid in group.member_ids:
-        info = u_pocket_cells(board.cells_of(pid))
-        if info is not None and info[1].axis == "y":
-            (pocket,) = info[0]
-            openings[pid] = info[1]
-            pocket_of[pid] = pocket
+        found = u_pocket(board.cells_of(pid))
+        if found is not None and found[1].axis == "y":
+            pocket_of[pid], openings[pid] = found
     for pid in sorted(group.member_ids):
         if pid in openings:
             continue

@@ -10,18 +10,17 @@ from polylock.classify import (
     EnclosedHoleError,
     U_PENTOMINO,
     classify,
-    find_u_pentominoes,
     is_monotone,
     monotone_closure,
     pockets,
-    u_pocket_cells,
+    u_pocket,
 )
 from polylock.grid import (
-    Configuration,
     Direction,
     Polyomino,
     canonical_free_form,
     enumerate_free,
+    neighbors,
 )
 
 from test_grid import polyominoes
@@ -227,35 +226,35 @@ def test_filling_pockets_restores_monotonicity(s, axis):
 
 
 # --------------------------------------------------------------------------
-# find_u_pentominoes
+# u_pocket
 # --------------------------------------------------------------------------
 
 
 def test_rectangles_yield_no_u_hits():
-    config = Configuration.from_cell_map(
-        {"a": [(0, 0), (1, 0)], "b": [(4, 0), (4, 1), (5, 0), (5, 1)]}
-    )
-    assert find_u_pentominoes(config) == []
+    assert u_pocket(frozenset({(0, 0), (1, 0)})) is None
+    assert u_pocket(frozenset({(4, 0), (4, 1), (5, 0), (5, 1)})) is None
+    assert u_pocket(frozenset((x, y) for x in range(3) for y in range(2))) is None
 
 
 def test_single_u_reports_world_opening():
-    config = Configuration.from_cell_map({"u": [(x + 3, y + 7) for x, y in U_CELLS]})
-    assert find_u_pentominoes(config) == [("u", Direction.POS_Y)]
+    assert u_pocket(frozenset((x + 3, y + 7) for x, y in U_CELLS)) == (
+        (4, 8),
+        Direction.POS_Y,
+    )
 
 
 def test_four_u_rotations_report_four_openings():
-    rotations = {"a": U_CELLS}
+    openings = set()
     cells = U_CELLS
-    for name in ("b", "c", "d"):
+    for _ in range(4):
+        (px, py), opening = u_pocket(cells)
+        mouth = (px + opening.dx, py + opening.dy)
+        assert {nb for nb in neighbors((px, py)) if nb in cells} == (
+            set(neighbors((px, py))) - {mouth}
+        )
+        openings.add(opening)
         cells = frozenset((-y, x) for x, y in cells)
-        rotations[name] = cells
-    spread = {
-        name: [(x + 10 * i, y) for x, y in cells]
-        for i, (name, cells) in enumerate(rotations.items())
-    }
-    config = Configuration.from_cell_map(spread)
-    openings = dict(find_u_pentominoes(config))
-    assert set(openings.values()) == {
+    assert openings == {
         Direction.POS_X,
         Direction.NEG_X,
         Direction.POS_Y,
@@ -264,21 +263,11 @@ def test_four_u_rotations_report_four_openings():
 
 
 def test_mirrored_u_is_still_a_u():
-    mirrored = [(-x, y) for x, y in U_CELLS]
-    config = Configuration.from_cell_map({"m": mirrored})
-    assert len(find_u_pentominoes(config)) == 1
+    mirrored = frozenset((-x, y) for x, y in U_CELLS)
+    assert u_pocket(mirrored) == ((-1, 1), Direction.POS_Y)
 
 
 def test_other_pentominoes_are_ignored():
-    plus = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
-    config = Configuration.from_cell_map({"p": plus, "u": [(x, y + 10) for x, y in U_CELLS]})
-    assert [pid for pid, _ in find_u_pentominoes(config)] == ["u"]
-
-
-def test_u_pocket_cells_helper():
-    result = u_pocket_cells(frozenset((x + 2, y + 5) for x, y in U_CELLS))
-    assert result is not None
-    cells, opening = result
-    assert cells == frozenset({(3, 6)})
-    assert opening is Direction.POS_Y
-    assert u_pocket_cells(frozenset({(0, 0), (1, 0)})) is None
+    for free in enumerate_free(5):
+        found = u_pocket(free.cells)
+        assert (found is not None) == (canonical_free_form(free) == U_PENTOMINO)

@@ -6,18 +6,21 @@ matter, and every returned trace is replayed move by move as a check that
 collapsed bookkeeping still names real pieces.
 """
 
+import itertools
+from collections import deque
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polylock import (
+    DIRECTIONS,
     Configuration,
     Direction,
     OverlapError,
     SINGLE_PIECE,
     SUBSET_MOVE,
     SearchBudget,
-    SearchState,
     escape_search,
     key_piece_reachable,
     legal_moves,
@@ -25,6 +28,7 @@ from polylock import (
     slide_dependency,
     sweep_collides,
 )
+from polylock.grid import is_connected
 from polylock.instances import (
     keyhole_pair,
     mutual_u_pair,
@@ -33,6 +37,7 @@ from polylock.instances import (
     z_chain,
 )
 from polylock.packing import PackingSpec, random_packing
+from polylock.search import DEFAULT_SUBSET_CAP
 from polylock.separation import separate_le5, simulate_plan
 
 POS_X, NEG_X, POS_Y, NEG_Y = (
@@ -83,39 +88,9 @@ class TestSearchBudget:
         assert budget.mode == SINGLE_PIECE
 
 
-class TestSearchState:
-    def test_initial_offsets_are_zero(self):
-        state = SearchState.initial(z_chain(3))
-        assert all(state.offset_of(f"Z{i}") == (0, 0) for i in range(3))
-
-    def test_offset_of_unknown_piece(self):
-        state = SearchState.initial(z_chain(1))
-        with pytest.raises(KeyError):
-            state.offset_of("Q")
-
-    def test_moved_tracks_offsets_and_rebuilds(self):
-        state = SearchState.initial(_config(A=[(0, 0)], B=[(5, 0)]))
-        state = state.moved(frozenset({"A"}), POS_Y)
-        state = state.moved(frozenset({"A"}), POS_Y)
-        assert state.offset_of("A") == (0, 2)
-        assert state.offset_of("B") == (0, 0)
-        assert state.configuration().cells_of("A") == frozenset({(0, 2)})
-
-    def test_moved_into_overlap_raises(self):
-        state = SearchState.initial(_config(A=[(0, 0)], B=[(1, 0)]))
-        with pytest.raises(OverlapError):
-            state.moved(frozenset({"A"}), POS_X)
-
-    def test_moved_unknown_piece_raises(self):
-        state = SearchState.initial(_config(A=[(0, 0)]))
-        with pytest.raises(KeyError):
-            state.moved(frozenset({"Q"}), POS_X)
-
-
 class TestLegalMoves:
     def test_lone_piece_moves_every_direction(self):
-        state = SearchState.initial(_config(A=[(0, 0), (1, 0)]))
-        moves = legal_moves(state)
+        moves = legal_moves(_config(A=[(0, 0), (1, 0)]))
         assert moves == [
             (frozenset({"A"}), POS_X),
             (frozenset({"A"}), NEG_X),
@@ -124,33 +99,32 @@ class TestLegalMoves:
         ]
 
     def test_snug_box_has_no_moves(self):
-        assert legal_moves(SearchState.initial(_snug_box())) == []
+        assert legal_moves(_snug_box()) == []
 
     def test_pinwheel_has_no_single_piece_moves(self):
-        assert legal_moves(SearchState.initial(pinwheel())) == []
+        assert legal_moves(pinwheel()) == []
 
     def test_pinwheel_pairs_move_in_subset_mode(self):
-        moves = legal_moves(SearchState.initial(pinwheel()), mode=SUBSET_MOVE)
+        moves = legal_moves(pinwheel(), mode=SUBSET_MOVE)
         assert (frozenset({"A", "B"}), NEG_Y) in moves
         assert all(len(ids) > 1 for ids, _ in moves)
 
     def test_keyhole_move_order_is_deterministic(self):
-        moves = legal_moves(SearchState.initial(keyhole_pair()))
+        moves = legal_moves(keyhole_pair())
         assert moves == [
             (frozenset({"K"}), POS_X),
             (frozenset({"R"}), NEG_X),
         ]
 
     def test_blocked_neighbour_frees_up_after_a_step(self):
-        state = SearchState.initial(z_chain(2))
-        assert (frozenset({"Z1"}), NEG_X) not in legal_moves(state)
-        stepped = state.moved(frozenset({"Z0"}), NEG_X)
+        config = z_chain(2)
+        assert (frozenset({"Z1"}), NEG_X) not in legal_moves(config)
+        stepped = replay_trace(config, ((frozenset({"Z0"}), NEG_X),))
         assert (frozenset({"Z1"}), NEG_X) in legal_moves(stepped)
 
     def test_rejects_unknown_mode(self):
-        state = SearchState.initial(_config(A=[(0, 0)]))
         with pytest.raises(ValueError):
-            legal_moves(state, mode="rigid")
+            legal_moves(_config(A=[(0, 0)]), mode="rigid")
 
 
 class TestEscapeSearch:
@@ -354,6 +328,177 @@ class TestReplayTrace:
         final = replay_trace(config, ((frozenset({"A", "B"}), POS_Y),))
         assert final.cells_of("A") == frozenset({(0, 1)})
         assert final.cells_of("B") == frozenset({(1, 1)})
+
+
+#: States the plain BFS may visit before an instance is dropped as too big.
+ORACLE_CAP = 2000
+
+
+def _oracle_search(config, radius, mode, key=None, displacement=None):
+    """Plain BFS over whole configurations: (goal reached, states) or None.
+
+    The same drift normalisation and arena as the engine, but no piece
+    identity quotient: two boards are one state only when every piece id
+    has the same cells. Moves are validated by building the Configuration,
+    and escapes by stepping the moving cells across the whole arena. With
+    `key` the goal is the key piece shifted by `displacement`; without it,
+    a proper move set (or a lone piece) sliding away. None means more than
+    ORACLE_CAP states.
+    """
+    ids = sorted(config.piece_ids())
+    min_x, min_y, max_x, max_y = config.bounding_box()
+    arena = (min_x - radius, min_y - radius, max_x + radius, max_y + radius)
+    reach = max(max_x - min_x, max_y - min_y) + 2 * radius + 1
+    origin = min(cell for p in config.placements for cell in p.cells)
+    largest = 1 if mode == SINGLE_PIECE else min(DEFAULT_SUBSET_CAP, len(ids))
+    move_sets = [
+        combo
+        for size in range(1, largest + 1)
+        for combo in itertools.combinations(ids, size)
+    ]
+    if key is not None:
+        dx, dy = displacement
+        target = frozenset((x + dx, y + dy) for x, y in config.cells_of(key))
+
+    def rigid(cells, combo):
+        moving = set().union(*(cells[pid] for pid in combo))
+        return moving if len(combo) == 1 or is_connected(moving) else None
+
+    def goal(board):
+        cells = board.cell_map()
+        if key is not None:
+            return cells[key] == target
+        for combo in move_sets:
+            moving = rigid(cells, combo)
+            if moving is None or len(combo) == len(ids) > 1:
+                continue
+            others = set().union(*(cells[pid] for pid in ids if pid not in combo))
+            for direction in DIRECTIONS:
+                ddx, ddy = direction.value
+                if not any(
+                    (x + k * ddx, y + k * ddy) in others
+                    for k in range(1, reach + 1)
+                    for x, y in moving
+                ):
+                    return True
+        return False
+
+    seen = {frozenset(config.cell_map().items())}
+    if goal(config):
+        return True, 1
+    frontier = deque([config])
+    while frontier:
+        board = frontier.popleft()
+        cells = board.cell_map()
+        for combo in move_sets:
+            if rigid(cells, combo) is None:
+                continue
+            for direction in DIRECTIONS:
+                ddx, ddy = direction.value
+                stepped = [
+                    p.moved(ddx, ddy) if p.piece_id in combo else p
+                    for p in board.placements
+                ]
+                low_x, low_y = min(cell for p in stepped for cell in p.cells)
+                shift = (origin[0] - low_x, origin[1] - low_y)
+                try:
+                    moved = Configuration.from_placements(
+                        p.moved(*shift) for p in stepped
+                    )
+                except OverlapError:
+                    continue
+                if not all(
+                    arena[0] <= x <= arena[2] and arena[1] <= y <= arena[3]
+                    for p in moved.placements
+                    for x, y in p.cells
+                ):
+                    continue
+                state = frozenset(moved.cell_map().items())
+                if state in seen:
+                    continue
+                seen.add(state)
+                if len(seen) > ORACLE_CAP:
+                    return None
+                if goal(moved):
+                    return True, len(seen)
+                frontier.append(moved)
+    return False, len(seen)
+
+
+class TestPlainBfsOracle:
+    """The engine's quotients never change an answer, only the state count."""
+
+    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
+    @given(
+        seed=st.integers(0, 10_000),
+        width=st.integers(1, 4),
+        height=st.integers(1, 4),
+        max_cells=st.integers(1, 5),
+        density=st.sampled_from([0.5, 0.75, 1.0]),
+        radius=st.integers(0, 2),
+        key_index=st.integers(0, 3),
+        displacement=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_engine_agrees_with_plain_bfs(
+        self,
+        mode,
+        seed,
+        width,
+        height,
+        max_cells,
+        density,
+        radius,
+        key_index,
+        displacement,
+    ):
+        spec = PackingSpec(
+            width=width,
+            height=height,
+            max_pieces=4,
+            max_cells=max_cells,
+            target_density=density,
+        )
+        config = random_packing(seed, spec)
+        assume(config.placements)
+        budget = SearchBudget(radius=radius, max_states=1_000_000, mode=mode)
+        key = sorted(config.piece_ids())[key_index % len(config.placements)]
+
+        escape = _oracle_search(config, radius, mode)
+        reach = _oracle_search(config, radius, mode, key, displacement)
+        assume(escape is not None and reach is not None)
+
+        verdict = escape_search(config, budget)
+        assert (verdict.outcome == "escaped") == escape[0]
+        assert verdict.outcome != "budget-exhausted"
+        assert verdict.states_explored <= escape[1]
+
+        answer = key_piece_reachable(config, key, displacement, budget)
+        assert (answer.outcome == "reachable") == reach[0]
+        assert answer.outcome != "budget-exhausted"
+        assert answer.states_explored <= reach[1]
+
+    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
+    @pytest.mark.parametrize(
+        "build, key",
+        # the pinwheel's pairs roam too freely in subset mode for a key query
+        [(keyhole_pair, "K"), (mutual_u_pair, "B"), (pinwheel, None)],
+        ids=["keyhole_pair", "mutual_u_pair", "pinwheel"],
+    )
+    def test_engine_agrees_on_named_instances(self, build, key, mode):
+        config = build()
+        budget = SearchBudget(radius=2, max_states=1_000_000, mode=mode)
+        escaped, states = _oracle_search(config, 2, mode)
+        verdict = escape_search(config, budget)
+        assert (verdict.outcome == "escaped") == escaped
+        assert verdict.states_explored <= states
+        if key is None:
+            return
+        for displacement in ((1, 0), (0, -2)):
+            reached, states = _oracle_search(config, 2, mode, key, displacement)
+            answer = key_piece_reachable(config, key, displacement, budget)
+            assert (answer.outcome == "reachable") == reached
+            assert answer.states_explored <= states
 
 
 class TestPlannerAgreement:

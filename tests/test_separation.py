@@ -30,6 +30,7 @@ from polylock import (
     simulate_plan,
 )
 from polylock.grid import Polyomino
+from polylock.separation import _find_cycle
 from polylock.instances import (
     case4_group,
     clasped_c_pair,
@@ -178,6 +179,64 @@ def test_plan_uto_clasped_pair_reports_two_cycle():
     upward = plan_uto(config, POS_Y)
     assert isinstance(upward, SeparationPlan)
     assert simulate_plan(config, upward).valid
+
+
+def _recursive_find_cycle(blockers, nodes):
+    """The recursive depth-first search `_find_cycle` replaced, as its oracle."""
+    color = {}
+    path = []
+
+    def visit(node):
+        color[node] = 1
+        path.append(node)
+        for nxt in sorted(blockers[node] & nodes):
+            if color.get(nxt) == 1:
+                return tuple(path[path.index(nxt):])
+            if nxt not in color:
+                found = visit(nxt)
+                if found is not None:
+                    return found
+        color[node] = 2
+        path.pop()
+        return None
+
+    for node in sorted(nodes):
+        if node not in color:
+            found = visit(node)
+            if found is not None:
+                return found
+    raise AssertionError("every stuck peel has a cycle to witness it")
+
+
+def test_find_cycle_survives_a_long_chain_into_a_two_cycle():
+    chain = [f"N{i:05d}" for i in range(5000)]
+    blockers = {pid: {nxt} for pid, nxt in zip(chain, chain[1:] + ["ZA"])}
+    blockers["ZA"] = {"ZB"}
+    blockers["ZB"] = {"ZA"}
+    assert _find_cycle(blockers, set(blockers)) == ("ZA", "ZB")
+
+
+def test_find_cycle_matches_the_recursive_search():
+    outcomes = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        names = [f"P{i}" for i in range(rng.randint(1, 8))]
+        blockers = {
+            pid: {other for other in names if other != pid and rng.random() < 0.3}
+            for pid in names
+        }
+        nodes = set(rng.sample(names, rng.randint(1, len(names))))
+        try:
+            expected = _recursive_find_cycle(blockers, nodes)
+        except AssertionError:
+            with pytest.raises(AssertionError):
+                _find_cycle(blockers, nodes)
+            outcomes.add("acyclic")
+        else:
+            assert _find_cycle(blockers, nodes) == expected
+            outcomes.add(len(expected))
+    # both branches and cycles of several lengths were exercised
+    assert "acyclic" in outcomes and {2, 3} <= outcomes
 
 
 @given(seed=st.integers(0, 2**32 - 1), direction=st.sampled_from(DIRECTIONS))
