@@ -271,3 +271,11 @@ def test_other_pentominoes_are_ignored():
     for free in enumerate_free(5):
         found = u_pocket(free.cells)
         assert (found is not None) == (canonical_free_form(free) == U_PENTOMINO)
+
+
+def test_u_pocket_cells_helper():
+    result = u_pocket(frozenset((x + 2, y + 5) for x, y in U_CELLS))
+    assert result is not None
+    cell, opening = result
+    assert cell == (3, 6)
+    assert opening is Direction.POS_Y
