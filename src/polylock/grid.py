@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 Cell = tuple[int, int]
 
@@ -39,25 +39,16 @@ class Direction(Enum):
     POS_Y = (0, 1)
     NEG_Y = (0, -1)
 
+    def __init__(self, dx: int, dy: int):
+        # Plain attributes: the sweep kernels read these in their inner loops.
+        self.dx = dx
+        self.dy = dy
+        self.axis = "x" if dx != 0 else "y"
+        self.sign = dx + dy
+
     @property
     def vector(self) -> Cell:
         return self.value
-
-    @property
-    def dx(self) -> int:
-        return self.value[0]
-
-    @property
-    def dy(self) -> int:
-        return self.value[1]
-
-    @property
-    def axis(self) -> str:
-        return "x" if self.value[0] != 0 else "y"
-
-    @property
-    def sign(self) -> int:
-        return self.value[0] + self.value[1]
 
     @property
     def opposite(self) -> "Direction":
@@ -254,29 +245,40 @@ class Placement:
         return Placement(self.piece_id, self.shape, (self.offset[0] + dx, self.offset[1] + dy))
 
 
-def _check_disjoint(placements: Iterable[Placement]) -> dict[Cell, str]:
+def _check_disjoint(cells_by_id: Mapping[str, Iterable[Cell]]) -> dict[Cell, str]:
     claimed: dict[Cell, str] = {}
-    for placement in placements:
-        for cell in placement.cells:
+    for piece_id, cells in cells_by_id.items():
+        for cell in cells:
             other = claimed.get(cell)
             if other is not None:
-                raise OverlapError(other, placement.piece_id, cell)
-            claimed[cell] = placement.piece_id
+                raise OverlapError(other, piece_id, cell)
+            claimed[cell] = piece_id
     return claimed
 
 
 @dataclass(frozen=True)
 class Configuration:
-    """A set of interior-disjoint placements with distinct ids."""
+    """A set of interior-disjoint placements with distinct ids.
+
+    Placements and their world cells are indexed by id at construction, so
+    `placement` and `cells_of` are dict lookups. The index takes no part in
+    equality, hashing or `repr`.
+    """
 
     placements: tuple[Placement, ...]
+    _by_id: dict[str, Placement] = field(init=False, repr=False, compare=False)
+    _cells: dict[str, frozenset[Cell]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [p.piece_id for p in self.placements]
-        if len(set(ids)) != len(ids):
+        by_id = {p.piece_id: p for p in self.placements}
+        if len(by_id) != len(self.placements):
+            ids = [p.piece_id for p in self.placements]
             dup = next(i for i in ids if ids.count(i) > 1)
             raise ValueError(f"duplicate piece id {dup!r}")
-        _check_disjoint(self.placements)
+        cells = {piece_id: p.cells for piece_id, p in by_id.items()}
+        _check_disjoint(cells)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_cells", cells)
 
     @classmethod
     def from_placements(cls, placements: Iterable[Placement]) -> "Configuration":
@@ -299,16 +301,19 @@ class Configuration:
         return tuple(p.piece_id for p in self.placements)
 
     def placement(self, piece_id: str) -> Placement:
-        for p in self.placements:
-            if p.piece_id == piece_id:
-                return p
-        raise KeyError(f"no piece {piece_id!r} in configuration")
+        try:
+            return self._by_id[piece_id]
+        except KeyError:
+            raise KeyError(f"no piece {piece_id!r} in configuration") from None
 
     def cells_of(self, piece_id: str) -> frozenset[Cell]:
-        return self.placement(piece_id).cells
+        try:
+            return self._cells[piece_id]
+        except KeyError:
+            raise KeyError(f"no piece {piece_id!r} in configuration") from None
 
     def cell_map(self) -> dict[str, frozenset[Cell]]:
-        return {p.piece_id: p.cells for p in self.placements}
+        return dict(self._cells)
 
     def without(self, piece_ids: Iterable[str]) -> "Configuration":
         gone = set(piece_ids)
@@ -326,7 +331,7 @@ class Configuration:
 
 def occupied_cells(config: Configuration) -> frozenset[Cell]:
     """Union of all placement cells; re-verifies pairwise disjointness."""
-    return frozenset(_check_disjoint(config.placements))
+    return frozenset(_check_disjoint(config.cell_map()))
 
 
 def sweep_collides(
@@ -371,3 +376,65 @@ def sweep_collides(
             if 0 < v - u <= distance:
                 return True
     return False
+
+
+class Lanes:
+    """Per-lane extents of disjoint pieces, for slides to infinity along one axis.
+
+    A lane is a row when `axis` is "x" and a column when it is "y". For each
+    lane the index keeps, for every piece with cells in it, the lowest and
+    highest coordinate of those cells along the axis.
+
+    Sliding a rigid set of pieces in the + sign hits another piece Y exactly
+    when some lane holds both and Y's highest cell there lies above the set's
+    lowest cell there; the - sign mirrors this with Y's lowest cell below
+    the set's highest. The rule is exact because the cells are disjoint: the
+    set's lowest cell in that lane passes through Y's highest one, and
+    conversely any hit happens in some lane shared by a moving cell and a
+    cell of Y ahead of it. So one index answers both signs of its axis, and
+    `blockers` equals the set of pieces for which `sweep_collides` on the
+    union reports a hit; `sweep_collides` stays the reference oracle.
+    """
+
+    def __init__(self, cells_by_id: Mapping[str, Iterable[Cell]], axis: str):
+        if axis not in ("x", "y"):
+            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        # piece id -> {lane: (lowest, highest)}, and the same by lane first
+        self._extents: dict[str, dict[int, tuple[int, int]]] = {}
+        self._lanes: dict[int, dict[str, tuple[int, int]]] = {}
+        for piece_id, cells in cells_by_id.items():
+            extents: dict[int, tuple[int, int]] = {}
+            for x, y in cells:
+                lane, at = (y, x) if axis == "x" else (x, y)
+                low, high = extents.get(lane, (at, at))
+                extents[lane] = (min(low, at), max(high, at))
+            self._extents[piece_id] = extents
+            for lane, extent in extents.items():
+                self._lanes.setdefault(lane, {})[piece_id] = extent
+
+    def blockers(self, piece_ids: Iterable[str], sign: int) -> set[str]:
+        """The other pieces that the rigid union of `piece_ids` hits.
+
+        The union slides to infinity along the axis, towards increasing
+        coordinates when `sign` is +1 and decreasing ones when it is -1.
+        """
+        movers = set(piece_ids)
+        rear: dict[int, int] = {}
+        for piece_id in movers:
+            for lane, (low, high) in self._extents[piece_id].items():
+                edge = low if sign > 0 else high
+                held = rear.get(lane)
+                if held is None or (edge < held if sign > 0 else edge > held):
+                    rear[lane] = edge
+        hit = set()
+        for lane, edge in rear.items():
+            for other, (low, high) in self._lanes[lane].items():
+                if (high > edge if sign > 0 else low < edge) and other not in movers:
+                    hit.add(other)
+        return hit
+
+    def remove(self, piece_ids: Iterable[str]) -> None:
+        """Drop these pieces from the index, as if taken off the board."""
+        for piece_id in piece_ids:
+            for lane in self._extents.pop(piece_id):
+                del self._lanes[lane][piece_id]

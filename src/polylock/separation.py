@@ -7,12 +7,24 @@ a witnessing cycle when none exists. `separate_le5` handles systems whose
 pieces have at most five cells: each U-pentomino whose pocket opens up or
 down is grouped with the piece sitting in its pocket, groups are peeled off
 along one axis, and the members of a multi-piece group exit along the other
-axis. Plans are never trusted: `simulate_plan` replays them move by move
-against exact sweep tests.
+axis. If every such peel jams, a second pass lets a multi-piece group whose
+members cannot leave one by one slide out whole in the peel direction; its
+union is row-contiguous, so it moves like one well-behaved shape. Plans are
+never trusted: `simulate_plan` replays them move by move.
+
+Every slide query here is answered by `grid.Lanes`, one index per axis
+holding each piece's lowest and highest coordinate in every row or column
+it meets. A rigid set sliding in the + sign hits a piece exactly when, in
+some shared lane, that piece's highest cell lies above the set's lowest
+cell (the - sign mirrors this), which is exact because cells are disjoint.
+Pieces only ever leave the board, so the index is built once and pieces are
+removed from it as they go. `grid.sweep_collides` is the pairwise reference
+oracle the index is tested against.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -23,9 +35,9 @@ from .grid import (
     Cell,
     Configuration,
     Direction,
+    Lanes,
     Polyomino,
     canonicalize,
-    sweep_collides,
 )
 
 #: Largest piece size the grouping planner accepts.
@@ -125,14 +137,12 @@ def _extreme(cells: Iterable[Cell], direction: Direction) -> int:
 def blocking_graph(config: Configuration, direction: Direction) -> BlockingGraph:
     """Exact pairwise blocking relation for infinite slides in `direction`."""
     ids = config.piece_ids()
-    cells = config.cell_map()
-    edges = set()
-    for blocked in ids:
-        for blocker in ids:
-            if blocker == blocked:
-                continue
-            if sweep_collides(cells[blocked], cells[blocker], direction):
-                edges.add((blocker, blocked))
+    lanes = Lanes(config.cell_map(), direction.axis)
+    edges = {
+        (blocker, blocked)
+        for blocked in ids
+        for blocker in lanes.blockers((blocked,), direction.sign)
+    }
     return BlockingGraph(
         direction=direction, nodes=frozenset(ids), edges=frozenset(edges)
     )
@@ -175,32 +185,47 @@ def plan_uto(config: Configuration, direction: Direction) -> SeparationPlan | No
     along the move direction first, breaking remaining ties by piece id.
     When every remaining piece is blocked the result is a `NoUto` carrying
     one witnessing cycle.
+
+    The peel is Kahn's algorithm: each piece counts its blockers still on
+    the board, and a heap keyed by (-extreme, id) holds exactly the pieces
+    whose count is zero, which is the ready set of the step.
     """
     graph = blocking_graph(config, direction)
     blockers: dict[str, set[str]] = {pid: set() for pid in graph.nodes}
+    blocks: dict[str, list[str]] = {pid: [] for pid in graph.nodes}
     for blocker, blocked in graph.edges:
         blockers[blocked].add(blocker)
+        blocks[blocker].append(blocked)
     cells = config.cell_map()
-    remaining = set(graph.nodes)
+    key = {pid: (-_extreme(cells[pid], direction), pid) for pid in graph.nodes}
+    waiting = {pid: len(blockers[pid]) for pid in graph.nodes}
+    ready = [key[pid] for pid in graph.nodes if not waiting[pid]]
+    heapq.heapify(ready)
     order: list[str] = []
-    while remaining:
-        ready = [pid for pid in remaining if not (blockers[pid] & remaining)]
-        if not ready:
-            return NoUto(direction, _find_cycle(blockers, remaining))
-        ready.sort(key=lambda pid: (-_extreme(cells[pid], direction), pid))
-        order.append(ready[0])
-        remaining.remove(ready[0])
+    while ready:
+        _, pid = heapq.heappop(ready)
+        order.append(pid)
+        for blocked in blocks[pid]:
+            waiting[blocked] -= 1
+            if not waiting[blocked]:
+                heapq.heappush(ready, key[blocked])
+    if len(order) < len(graph.nodes):
+        remaining = set(graph.nodes).difference(order)
+        return NoUto(direction, _find_cycle(blockers, remaining))
     return SeparationPlan(
         tuple(Move(frozenset({pid}), direction) for pid in order)
     )
 
 
 def simulate_plan(config: Configuration, plan: SeparationPlan) -> SimulationReport:
-    """Replay a plan with exact sweeps; the board must end empty.
+    """Replay a plan with exact slide tests; the board must end empty.
 
     A move is legal when the rigid union of its pieces can slide to infinity
     without touching any piece still on the board. Raises `PlanError` when
-    the plan names an unknown piece or covers a piece twice.
+    the plan names an unknown piece or covers a piece twice. On an illegal
+    move the collision names the smallest piece id the union hits and the
+    first mover, by id, that hits it alone; the leftover is every piece
+    still on the board, movers included.
     """
     known = set(config.piece_ids())
     seen: set[str] = set()
@@ -212,29 +237,30 @@ def simulate_plan(config: Configuration, plan: SeparationPlan) -> SimulationRepo
                 raise PlanError(f"piece {pid!r} is covered by two moves")
             seen.add(pid)
 
-    board = config
+    cells = config.cell_map()
+    lanes = {axis: Lanes(cells, axis) for axis in ("x", "y")}
+    on_board = set(cells)
     for index, move in enumerate(plan.moves):
-        moving = sorted(move.piece_ids)
-        union_cells = frozenset(
-            cell for pid in moving for cell in board.cells_of(pid)
-        )
-        for other in sorted(set(board.piece_ids()) - move.piece_ids):
-            obstacle = board.cells_of(other)
-            if sweep_collides(union_cells, obstacle, move.direction):
-                witness = next(
-                    pid
-                    for pid in moving
-                    if sweep_collides(board.cells_of(pid), obstacle, move.direction)
-                )
-                return SimulationReport(
-                    valid=False,
-                    failure_index=index,
-                    collision=(witness, other),
-                    leftover=frozenset(board.piece_ids()),
-                )
-        board = board.without(move.piece_ids)
+        axis, sign = move.direction.axis, move.direction.sign
+        hit = lanes[axis].blockers(move.piece_ids, sign)
+        if hit:
+            other = min(hit)
+            witness = next(
+                pid
+                for pid in sorted(move.piece_ids)
+                if other in lanes[axis].blockers((pid,), sign)
+            )
+            return SimulationReport(
+                valid=False,
+                failure_index=index,
+                collision=(witness, other),
+                leftover=frozenset(on_board),
+            )
+        for axis_lanes in lanes.values():
+            axis_lanes.remove(move.piece_ids)
+        on_board -= move.piece_ids
 
-    leftover = frozenset(board.piece_ids())
+    leftover = frozenset(on_board)
     return SimulationReport(valid=not leftover, leftover=leftover)
 
 
@@ -341,83 +367,87 @@ def _exit_preferences(
     return ordered, prefs
 
 
-def _member_exit_moves(board: Configuration, group: Group) -> list[Move] | None:
+def _member_exit_moves(
+    config: Configuration, lanes: dict[str, Lanes], group: Group
+) -> list[Move] | None:
     """Exit the group's members one by one along its internal axis.
 
     Tries member orders and signs until a sequence is fully clear against
-    everything still on the board, preferring pocket fillers first through
-    their opening. Returns None when every sequence is blocked.
+    everything still on the board (`lanes`, less the members that already
+    left), preferring pocket fillers first through their opening. Returns
+    None when every sequence is blocked.
     """
-    ordered, prefs = _exit_preferences(board, group)
+    ordered, prefs = _exit_preferences(config, group)
     for perm in itertools.permutations(ordered):
         for signs in itertools.product(*(prefs[pid] for pid in perm)):
-            scratch = board
+            left: set[str] = set()
             moves: list[Move] = []
             for pid, direction in zip(perm, signs):
-                cells = scratch.cells_of(pid)
-                blocked = any(
-                    sweep_collides(cells, scratch.cells_of(other), direction)
-                    for other in scratch.piece_ids()
-                    if other != pid
-                )
-                if blocked:
+                if lanes[direction.axis].blockers((pid,), direction.sign) - left:
                     break
                 moves.append(Move(frozenset({pid}), direction))
-                scratch = scratch.without([pid])
+                left.add(pid)
             else:
                 return moves
     return None
 
 
 def _group_exit(
-    board: Configuration, group: Group, direction: Direction
+    config: Configuration,
+    lanes: dict[str, Lanes],
+    group: Group,
+    direction: Direction,
+    rigid: bool,
 ) -> list[Move] | None:
+    """The moves that take `group` off the board now, or None if it is stuck.
+
+    With `rigid`, a multi-piece group whose members cannot leave one by one
+    may still slide out whole in `direction`.
+    """
+    blocked = lanes[direction.axis].blockers(group.member_ids, direction.sign)
     if len(group.member_ids) == 1:
-        (pid,) = group.member_ids
-        cells = board.cells_of(pid)
-        blocked = any(
-            sweep_collides(cells, board.cells_of(other), direction)
-            for other in board.piece_ids()
-            if other != pid
-        )
-        return None if blocked else [Move(frozenset({pid}), direction)]
-    return _member_exit_moves(board, group)
+        return None if blocked else [Move(group.member_ids, direction)]
+    moves = _member_exit_moves(config, lanes, group)
+    if moves is None and rigid and not blocked:
+        return [Move(group.member_ids, direction)]
+    return moves
 
 
 def _peel_groups(
-    config: Configuration, groups: Sequence[Group], direction: Direction
+    config: Configuration,
+    groups: Sequence[Group],
+    direction: Direction,
+    rigid: bool,
 ) -> SeparationPlan | None:
     """Greedy peel: at each step remove the farthest-along group that can go.
 
     Singleton groups leave in the peel direction; multi-piece groups spend
-    their turn exiting members along the internal axis instead. A group that
-    cannot go yet is retried after others have left.
+    their turn exiting members along the internal axis instead, or with
+    `rigid` leave whole in the peel direction when that is blocked. A group
+    that cannot go yet is retried after others have left. Pieces never move
+    before they leave, so the farthest-along order is fixed up front.
     """
-    board = config
-    pending = list(groups)
+    cells = config.cell_map()
+    lanes = {axis: Lanes(cells, axis) for axis in ("x", "y")}
+    pending = sorted(
+        groups,
+        key=lambda g: (
+            -_extreme((cell for pid in g.member_ids for cell in cells[pid]), direction),
+            min(g.member_ids),
+        ),
+    )
     moves: list[Move] = []
     while pending:
-        pending.sort(
-            key=lambda g: (
-                -_extreme(
-                    (cell for pid in g.member_ids for cell in board.cells_of(pid)),
-                    direction,
-                ),
-                min(g.member_ids),
-            )
-        )
-        chosen = None
-        for group in pending:
-            exit_moves = _group_exit(board, group, direction)
+        for position, group in enumerate(pending):
+            exit_moves = _group_exit(config, lanes, group, direction, rigid)
             if exit_moves is not None:
-                chosen = (group, exit_moves)
                 break
-        if chosen is None:
+        else:
             return None
-        group, exit_moves = chosen
         moves.extend(exit_moves)
-        board = board.without(group.member_ids)
-        pending.remove(group)
+        for axis_lanes in lanes.values():
+            axis_lanes.remove(group.member_ids)
+        del pending[position]
     return SeparationPlan(tuple(moves))
 
 
@@ -425,19 +455,21 @@ def separate_le5(config: Configuration) -> SeparationPlan:
     """Full separation plan for a system of pieces with at most five cells.
 
     Groups are peeled along +x first, falling back to the other axis
-    directions if a peel jams. Each returned plan has passed simulation.
-    Exhausting all four directions means a guarantee this planner is built
-    on has failed, so that raises instead of returning.
+    directions if a peel jams. If all four jam, the four directions run
+    once more, now letting a multi-piece group whose member exits are all
+    blocked leave as one rigid move in the peel direction. Each returned
+    plan has passed simulation. Exhausting both passes means a guarantee
+    this planner is built on has failed, so that raises instead of
+    returning.
     """
     groups = group_le5(config)
     if not groups:
         return SeparationPlan(())
-    for direction in DIRECTIONS:
-        plan = _peel_groups(config, groups, direction)
-        if plan is None:
-            continue
-        if simulate_plan(config, plan).valid:
-            return plan
+    for rigid in (False, True):
+        for direction in DIRECTIONS:
+            plan = _peel_groups(config, groups, direction, rigid)
+            if plan is not None and simulate_plan(config, plan).valid:
+                return plan
     raise InvariantViolationError(
         "no one-shot separation plan found for a system of pieces "
         "with at most five cells"

@@ -19,6 +19,7 @@ from polylock.grid import (
     Configuration,
     Direction,
     DIRECTIONS,
+    Lanes,
     OverlapError,
     Placement,
     Polyomino,
@@ -276,6 +277,22 @@ def test_from_cell_map_preserves_world_cells():
     assert config.cells_of("z") == frozenset({(4, 7), (5, 7), (5, 8)})
 
 
+def test_configuration_index_is_invisible():
+    domino = Polyomino(frozenset({(0, 0), (1, 0)}))
+    placements = (Placement("a", domino, (0, 0)), Placement("b", domino, (0, 1)))
+    config = Configuration(placements)
+    twin = Configuration(tuple(placements))
+    assert config == twin and hash(config) == hash(twin)
+    assert config != Configuration(placements[:1])
+    assert repr(config) == f"Configuration(placements={placements!r})"
+    assert config.placement("b") is placements[1]
+    assert config.cells_of("b") == frozenset({(0, 1), (1, 1)})
+    assert config.cell_map() == {"a": {(0, 0), (1, 0)}, "b": {(0, 1), (1, 1)}}
+    for lookup in (config.placement, config.cells_of):
+        with pytest.raises(KeyError, match="no piece 'c'"):
+            lookup("c")
+
+
 # --------------------------------------------------------------------------
 # sweep_collides
 # --------------------------------------------------------------------------
@@ -386,3 +403,57 @@ def test_sweep_monotone_in_obstacle(mover, obstacle, dx, dy, direction):
             grown = obstacle_cells | {(cell[0] + 20, cell[1] + 20)}
             grown -= mover_cells
             assert sweep_collides(mover_cells, grown, direction)
+
+
+# --------------------------------------------------------------------------
+# Lanes, checked against pairwise sweep_collides as the oracle
+# --------------------------------------------------------------------------
+
+
+def _random_packing(rng, pieces, span):
+    placed = {}
+    occupied = set()
+    for idx in range(pieces):
+        for _ in range(40):
+            cells = _random_polyomino_cells(rng.randint(1, 6), rng)
+            dx, dy = rng.randint(-span, span), rng.randint(-span, span)
+            world = {(x + dx, y + dy) for x, y in cells}
+            if not world & occupied:
+                placed[f"P{idx}"] = world
+                occupied |= world
+                break
+    return placed
+
+
+def test_lanes_reject_a_bad_axis():
+    with pytest.raises(ValueError):
+        Lanes({"a": {(0, 0)}}, "z")
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1))
+def test_lanes_blockers_match_pairwise_sweeps(seed):
+    rng = random.Random(seed)
+    on_board = _random_packing(rng, rng.randint(1, 9), 5)
+    lanes = {axis: Lanes(on_board, axis) for axis in ("x", "y")}
+    while on_board:
+        ids = sorted(on_board)
+        movers = [(pid,) for pid in ids] + [
+            tuple(rng.sample(ids, k)) for k in (2, 3) if k <= len(ids)
+        ]
+        for group in movers:
+            union = set().union(*(on_board[pid] for pid in group))
+            for direction in DIRECTIONS:
+                expected = {
+                    other
+                    for other in ids
+                    if other not in group
+                    and sweep_collides(union, on_board[other], direction)
+                }
+                got = lanes[direction.axis].blockers(group, direction.sign)
+                assert got == expected, (group, direction)
+        gone = rng.sample(ids, rng.randint(1, min(3, len(ids))))
+        for axis_lanes in lanes.values():
+            axis_lanes.remove(gone)
+        for pid in gone:
+            del on_board[pid]

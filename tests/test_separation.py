@@ -2,7 +2,11 @@
 
 The ordering oracle enumerates every removal permutation with a brute-force
 step sweep, so the planner's topological peel is checked against an
-independent notion of "some order works".
+independent notion of "some order works". The pairwise implementations that
+the lane index replaced (`blocking_graph`, `plan_uto`'s peel, the group peel
+of `separate_le5` and `simulate_plan`, each built on `sweep_collides` and
+`Configuration.without`) are kept below as oracles, and the module must
+return exactly what they return.
 """
 
 import itertools
@@ -29,8 +33,14 @@ from polylock import (
     separate_le5,
     simulate_plan,
 )
-from polylock.grid import Polyomino
-from polylock.separation import _find_cycle
+from polylock.grid import Polyomino, sweep_collides
+from polylock.separation import (
+    BlockingGraph,
+    SimulationReport,
+    _exit_preferences,
+    _extreme,
+    _find_cycle,
+)
 from polylock.instances import (
     case4_group,
     clasped_c_pair,
@@ -529,3 +539,318 @@ def test_simulate_uncovered_piece_is_invalid():
 def test_move_requires_a_piece():
     with pytest.raises(ValueError):
         Move(frozenset(), POS_X)
+
+
+# ---------------------------------------------------------------- pairwise oracles
+
+
+def _pairwise_blocking_graph(config, direction):
+    ids = config.piece_ids()
+    cells = config.cell_map()
+    edges = set()
+    for blocked in ids:
+        for blocker in ids:
+            if blocker != blocked and sweep_collides(
+                cells[blocked], cells[blocker], direction
+            ):
+                edges.add((blocker, blocked))
+    return BlockingGraph(direction, frozenset(ids), frozenset(edges))
+
+
+def _pairwise_plan_uto(config, direction):
+    graph = _pairwise_blocking_graph(config, direction)
+    blockers = {pid: set() for pid in graph.nodes}
+    for blocker, blocked in graph.edges:
+        blockers[blocked].add(blocker)
+    cells = config.cell_map()
+    remaining = set(graph.nodes)
+    order = []
+    while remaining:
+        ready = [pid for pid in remaining if not (blockers[pid] & remaining)]
+        if not ready:
+            return NoUto(direction, _find_cycle(blockers, remaining))
+        ready.sort(key=lambda pid: (-_extreme(cells[pid], direction), pid))
+        order.append(ready[0])
+        remaining.remove(ready[0])
+    return SeparationPlan(tuple(Move(frozenset({pid}), direction) for pid in order))
+
+
+def _pairwise_simulate_plan(config, plan):
+    known = set(config.piece_ids())
+    seen = set()
+    for move in plan.moves:
+        for pid in sorted(move.piece_ids):
+            if pid not in known:
+                raise PlanError(f"plan references unknown piece {pid!r}")
+            if pid in seen:
+                raise PlanError(f"piece {pid!r} is covered by two moves")
+            seen.add(pid)
+    board = config
+    for index, move in enumerate(plan.moves):
+        moving = sorted(move.piece_ids)
+        union_cells = frozenset(cell for pid in moving for cell in board.cells_of(pid))
+        for other in sorted(set(board.piece_ids()) - move.piece_ids):
+            obstacle = board.cells_of(other)
+            if sweep_collides(union_cells, obstacle, move.direction):
+                witness = next(
+                    pid
+                    for pid in moving
+                    if sweep_collides(board.cells_of(pid), obstacle, move.direction)
+                )
+                return SimulationReport(
+                    valid=False,
+                    failure_index=index,
+                    collision=(witness, other),
+                    leftover=frozenset(board.piece_ids()),
+                )
+        board = board.without(move.piece_ids)
+    leftover = frozenset(board.piece_ids())
+    return SimulationReport(valid=not leftover, leftover=leftover)
+
+
+def _pairwise_blocked(board, pid, direction):
+    cells = board.cells_of(pid)
+    return any(
+        sweep_collides(cells, board.cells_of(other), direction)
+        for other in board.piece_ids()
+        if other != pid
+    )
+
+
+def _pairwise_group_exit(board, group, direction):
+    if len(group.member_ids) == 1:
+        (pid,) = group.member_ids
+        if _pairwise_blocked(board, pid, direction):
+            return None
+        return [Move(frozenset({pid}), direction)]
+    ordered, prefs = _exit_preferences(board, group)
+    for perm in itertools.permutations(ordered):
+        for signs in itertools.product(*(prefs[pid] for pid in perm)):
+            scratch = board
+            moves = []
+            for pid, member_dir in zip(perm, signs):
+                if _pairwise_blocked(scratch, pid, member_dir):
+                    break
+                moves.append(Move(frozenset({pid}), member_dir))
+                scratch = scratch.without([pid])
+            else:
+                return moves
+    return None
+
+
+def _pairwise_peel_groups(config, groups, direction):
+    board = config
+    pending = list(groups)
+    moves = []
+    while pending:
+        pending.sort(
+            key=lambda g: (
+                -_extreme(
+                    (cell for pid in g.member_ids for cell in board.cells_of(pid)),
+                    direction,
+                ),
+                min(g.member_ids),
+            )
+        )
+        for group in pending:
+            exit_moves = _pairwise_group_exit(board, group, direction)
+            if exit_moves is not None:
+                break
+        else:
+            return None
+        moves.extend(exit_moves)
+        board = board.without(group.member_ids)
+        pending.remove(group)
+    return SeparationPlan(tuple(moves))
+
+
+def _pairwise_separate_le5(config):
+    """The member-exit-only planner; None where all four of its peels jam."""
+    groups = group_le5(config)
+    if not groups:
+        return SeparationPlan(())
+    for direction in DIRECTIONS:
+        plan = _pairwise_peel_groups(config, groups, direction)
+        if plan is not None and _pairwise_simulate_plan(config, plan).valid:
+            return plan
+    return None
+
+
+def _grown_packing(seed, side=12, pieces=36):
+    """A dense box of pieces of at most five cells, grown cell by cell.
+
+    Unlike `_random_config`, these often put a piece in the pocket of a
+    U-pentomino opening along y, so `group_le5` forms multi-piece groups.
+    """
+    rng = random.Random(seed)
+    free = {(x, y) for x in range(side) for y in range(side)}
+    cells = {}
+    for start in rng.sample(sorted(free), len(free)):
+        if len(cells) == pieces:
+            break
+        if start not in free:
+            continue
+        piece = {start}
+        target = rng.choice([2, 3, 4, 5, 5])
+        while len(piece) < target:
+            fringe = sorted(
+                nb
+                for x, y in piece
+                for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+                if nb in free and nb not in piece
+            )
+            if not fringe:
+                break
+            piece.add(rng.choice(fringe))
+        free -= piece
+        cells[f"P{len(cells):02d}"] = piece
+    return Configuration.from_cell_map(cells)
+
+
+def _corrupted(plan, rng):
+    """The plan, and copies with moves swapped, reversed, truncated or fused."""
+    moves = list(plan.moves)
+    variants = [moves, moves[::-1], moves[: len(moves) // 2]]
+    if len(moves) >= 2:
+        i, j = sorted(rng.sample(range(len(moves)), 2))
+        swapped = list(moves)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        turned = list(moves)
+        turned[i] = Move(moves[i].piece_ids, moves[i].direction.opposite)
+        last, before = moves[-1], moves[-2]
+        fused = [Move(last.piece_ids | before.piece_ids, last.direction)]
+        variants += [swapped, turned, fused + moves[-3::-1]]
+    return [SeparationPlan(tuple(v)) for v in variants]
+
+
+def test_blocking_graph_and_plan_uto_match_pairwise_oracles():
+    outcomes = set()
+    for seed in range(40):
+        config = _grown_packing(seed)
+        for direction in DIRECTIONS:
+            assert blocking_graph(config, direction) == _pairwise_blocking_graph(
+                config, direction
+            )
+            result = plan_uto(config, direction)
+            assert result == _pairwise_plan_uto(config, direction)
+            outcomes.add(type(result))
+    assert outcomes == {SeparationPlan, NoUto}
+
+
+def test_simulate_plan_matches_pairwise_replay_on_corrupted_plans():
+    outcomes = set()
+    for seed in range(30):
+        rng = random.Random(seed)
+        config = _grown_packing(seed)
+        plans = [separate_le5(config)]
+        for direction in DIRECTIONS:
+            result = plan_uto(config, direction)
+            if isinstance(result, SeparationPlan):
+                plans.append(result)
+        for plan in plans:
+            for variant in _corrupted(plan, rng):
+                report = simulate_plan(config, variant)
+                assert report == _pairwise_simulate_plan(config, variant)
+                if report.valid:
+                    outcomes.add("valid")
+                elif report.collision is None:
+                    outcomes.add("leftover")
+                else:
+                    outcomes.add("collision")
+                    if len(variant.moves[report.failure_index].piece_ids) > 1:
+                        outcomes.add("rigid collision")
+    assert outcomes == {"valid", "leftover", "collision", "rigid collision"}
+
+
+def test_separate_le5_matches_the_pairwise_group_peel():
+    grouped = 0
+    for seed in range(60):
+        config = _grown_packing(seed)
+        expected = _pairwise_separate_le5(config)
+        assert expected is not None
+        assert separate_le5(config) == expected
+        grouped += any(len(g.member_ids) > 1 for g in group_le5(config))
+    for config in (u_filler_example(), mutual_u_pair(), case4_group()):
+        assert separate_le5(config) == _pairwise_separate_le5(config)
+    assert grouped
+
+
+# ---------------------------------------------------------------- rigid group exit
+
+# Two dense packings of 90 pieces of at most five cells in a 21x21 box, on
+# which every member-exit peel jams: a U-pentomino opening along y holds a
+# piece in its pocket, and neither can leave along y while the rest of the
+# board is in place. Each token is a piece number (piece "P" + "0" + token),
+# ".." is empty; the first line is the top row y = 20, columns are x = 0..20.
+JAMMED_PACKINGS = {
+    "a": [
+        "88 88 78 .. .. 77 .. 23 16 16 16 16 16 73 73 26 .. .. .. .. 64",
+        "88 88 78 .. 77 77 .. 23 01 .. 13 13 13 73 26 26 26 68 .. .. 64",
+        "88 28 .. .. 15 15 41 23 01 01 13 .. 00 73 .. 45 26 68 68 68 80",
+        ".. 28 .. 15 15 30 41 23 01 .. 00 00 00 73 55 45 45 45 .. 68 80",
+        ".. 28 28 49 30 30 41 41 69 65 00 65 .. .. 55 55 45 50 .. .. 80",
+        ".. .. .. 49 49 49 41 69 69 65 65 65 34 19 19 19 63 50 .. .. 12",
+        "53 53 52 52 52 42 42 .. 69 69 .. 34 34 .. 19 63 63 50 57 12 12",
+        "86 53 14 52 03 03 42 42 81 79 79 79 79 .. .. 63 71 50 57 57 57",
+        "86 53 14 52 03 .. .. .. 81 81 81 79 .. .. .. 63 71 71 71 83 57",
+        "86 14 14 14 .. 39 39 39 76 76 76 .. .. 58 58 51 51 .. 71 83 83",
+        "27 82 82 82 .. 33 39 39 76 17 59 05 05 05 .. 51 51 51 46 46 46",
+        "27 27 33 33 33 33 38 38 38 17 59 59 59 31 .. 72 72 46 46 74 ..",
+        "22 27 27 36 36 10 48 38 .. 17 17 17 59 31 31 31 72 21 21 74 74",
+        "22 87 87 87 36 10 48 38 .. .. 24 24 24 31 .. .. 25 25 .. 74 74",
+        ".. 87 09 87 10 10 48 84 89 .. 24 62 43 43 .. 40 .. 25 32 32 32",
+        "29 .. 09 56 56 56 48 84 89 08 08 62 .. 43 .. 40 .. 25 37 60 60",
+        "29 .. 09 09 .. 56 70 89 89 89 08 62 62 .. 18 40 37 37 37 02 60",
+        "66 .. 09 .. 35 35 70 70 70 07 07 .. .. 18 18 .. .. 47 37 02 60",
+        "66 66 66 04 35 35 70 07 07 07 54 .. .. 61 18 44 44 47 47 02 60",
+        ".. .. 06 04 04 20 20 67 67 54 54 .. 61 61 75 75 .. .. 47 11 ..",
+        ".. 06 06 06 06 20 20 67 67 85 54 54 61 61 75 75 75 .. .. 11 11",
+    ],
+    "b": [
+        ".. .. 19 .. .. .. 21 .. .. 29 29 .. 88 89 20 .. 53 53 53 22 ..",
+        "51 .. 19 19 19 21 21 21 .. 29 29 .. 88 20 20 .. 53 53 70 22 22",
+        "51 00 00 00 30 21 .. .. 52 .. .. .. .. 20 20 .. 70 70 70 22 14",
+        "51 51 51 00 30 30 38 38 52 52 .. 06 06 06 31 31 31 31 70 22 14",
+        "66 66 66 66 30 38 38 38 52 52 74 74 06 06 42 42 41 41 41 14 14",
+        ".. .. .. 59 59 .. 85 85 85 85 85 74 74 74 42 .. 56 56 41 14 76",
+        "12 12 12 59 10 .. 50 50 50 .. .. 26 58 42 42 .. 18 56 07 07 07",
+        "12 12 63 63 10 .. 48 48 50 50 75 26 58 58 18 18 18 56 07 44 44",
+        "63 63 63 28 10 .. 48 48 .. 77 75 77 .. 58 18 .. .. .. 07 44 44",
+        "67 33 33 28 10 .. 48 62 16 77 77 77 .. 13 13 49 49 .. .. 82 82",
+        "67 67 33 71 10 09 09 62 16 16 .. 54 54 54 13 05 25 81 81 81 82",
+        "67 33 33 71 71 71 09 11 11 11 11 .. 54 54 84 05 25 25 25 83 83",
+        "37 37 37 .. 71 87 09 17 17 08 11 78 34 .. 84 05 27 27 27 83 83",
+        ".. 37 24 24 45 87 87 03 17 08 78 78 34 .. 84 57 .. 27 27 35 83",
+        ".. .. .. .. 45 45 03 03 17 08 78 23 34 34 57 57 57 86 86 35 35",
+        "55 55 .. .. .. .. .. 03 17 23 23 23 02 .. .. 57 04 86 64 64 64",
+        ".. .. 68 .. .. .. .. .. 79 .. .. 46 02 .. .. .. 04 86 86 43 64",
+        "73 .. 68 68 .. .. 15 .. 79 .. 46 46 02 .. .. .. 04 04 43 43 61",
+        "73 73 68 .. 15 15 15 .. .. 01 46 32 32 .. .. 39 39 80 43 61 61",
+        "73 60 .. .. 15 69 69 69 .. 01 01 32 32 47 36 36 39 72 43 72 61",
+        ".. 60 .. .. .. 69 65 65 01 01 40 40 40 47 47 47 47 72 72 72 61",
+    ],
+}
+
+
+def _packing_from_rows(rows):
+    cells = {}
+    for row, line in enumerate(rows):
+        for x, token in enumerate(line.split()):
+            if token != "..":
+                cells.setdefault(f"P0{token}", []).append((x, len(rows) - 1 - row))
+    return Configuration.from_cell_map(cells)
+
+
+@pytest.mark.parametrize("name", sorted(JAMMED_PACKINGS))
+def test_separate_le5_lets_a_jammed_group_leave_whole(name):
+    config = _packing_from_rows(JAMMED_PACKINGS[name])
+    assert len(config) == 90
+    # every member-exit peel jams here
+    assert _pairwise_separate_le5(config) is None
+    plan = separate_le5(config)
+    assert simulate_plan(config, plan).valid
+    assert plan.covered_ids() == frozenset(config.piece_ids())
+    rigid = [move for move in plan.moves if len(move.piece_ids) > 1]
+    assert rigid
+    groups = {g.member_ids for g in group_le5(config)}
+    assert all(move.piece_ids in groups for move in rigid)
