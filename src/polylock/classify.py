@@ -9,21 +9,16 @@ Conventions used throughout:
 
 A pocket is a connected region of cells that the fill rule for one axis
 adds to the shape, together with the one open side it keeps toward the
-outside. The U-pentomino is the only pentomino that has one.
+outside. The U-pentomino is the only pentomino that has one. Monotonicity
+and pockets both read the one fill rule, `_fill_cells`; `pockets` asks
+`grid.Lanes` which side of a component no shape cell blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import (
-    Cell,
-    Direction,
-    Polyomino,
-    canonical_free_form,
-    neighbors,
-    sweep_collides,
-)
+from .grid import Cell, Direction, Lanes, Polyomino, canonical_free_form, neighbors
 
 
 class EnclosedHoleError(ValueError):
@@ -52,24 +47,15 @@ class Pocket:
     opening: Direction
 
 
-def _runs_contiguous(cells: frozenset[Cell], axis: str) -> bool:
-    lanes: dict[int, list[int]] = {}
-    for x, y in cells:
-        if axis == "y":
-            lanes.setdefault(y, []).append(x)
-        else:
-            lanes.setdefault(x, []).append(y)
-    return all(max(vals) - min(vals) + 1 == len(vals) for vals in lanes.values())
-
-
 def is_monotone(shape: Polyomino, axis: str) -> bool:
     """Monotone in `axis`: every slice perpendicular to it is one interval.
 
-    axis 'y' checks rows, axis 'x' checks columns.
+    axis 'y' checks rows, axis 'x' checks columns. A slice is one interval
+    exactly when the fill rule finds no gap in it.
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return _runs_contiguous(shape.cells, axis)
+    return not _fill_cells(shape.cells, axis)
 
 
 def classify(shape: Polyomino) -> MonotoneReport:
@@ -122,8 +108,10 @@ def pockets(shape: Polyomino, axis: str) -> list[Pocket]:
             if axis == "y"
             else (Direction.POS_X, Direction.NEG_X)
         )
-        pos_open = not sweep_collides(component, shape.cells, pos)
-        neg_open = not sweep_collides(component, shape.cells, neg)
+        # exact: fill cells are never shape cells
+        lanes = Lanes({"shape": shape.cells, "pocket": component}, axis)
+        pos_open = not lanes.blockers(("pocket",), 1)
+        neg_open = not lanes.blockers(("pocket",), -1)
         if not pos_open and not neg_open:
             raise EnclosedHoleError(frozenset(component))
         # fill components sit between shape cells in their lane, so at most

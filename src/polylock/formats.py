@@ -175,15 +175,12 @@ def emit_grid(config: Configuration) -> str:
     if not config.placements:
         return ""
     symbols = _grid_symbols(config)
-    owners = {
-        cell: pid for pid, cells in config.cell_map().items() for cell in cells
-    }
     min_x, min_y, max_x, max_y = config.bounding_box()
     rows = []
     for y in range(max_y, min_y - 1, -1):
         row = []
         for x in range(min_x, max_x + 1):
-            pid = owners.get((x, y))
+            pid = config.owner((x, y))
             row.append(symbols[pid] if pid else ".")
         rows.append("".join(row))
     return "\n".join(rows) + "\n"

@@ -1,10 +1,16 @@
-"""Integer-grid polyominoes, placements, and axis-aligned sweep tests.
+"""Integer-grid polyominoes, placements, and axis-aligned slide tests.
 
 Cells are (x, y) pairs with y increasing upward. A polyomino is a finite,
 non-empty, 4-connected set of cells; congruence allows the four rotations
 and reflection. All motion elsewhere in the package is axis-aligned
 translation by whole cells, so the continuous sweep of a piece reduces to
 checking the integer stations along the way.
+
+`Lanes` is the package's one slide kernel: `separation`, `search` and
+`classify` ask it whom a rigid set hits when slid to infinity.
+`Configuration.owner` is the one cell -> piece lookup. `sweep_collides`
+is the pairwise reference oracle the tests check `Lanes` against; no
+other module calls it.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 Cell = tuple[int, int]
 
@@ -45,10 +51,6 @@ class Direction(Enum):
         self.dy = dy
         self.axis = "x" if dx != 0 else "y"
         self.sign = dx + dy
-
-    @property
-    def vector(self) -> Cell:
-        return self.value
 
     @property
     def opposite(self) -> "Direction":
@@ -129,9 +131,6 @@ class Polyomino:
 
     def __iter__(self) -> Iterator[Cell]:
         return iter(self.cells)
-
-    def translate(self, dx: int, dy: int) -> "Polyomino":
-        return Polyomino(frozenset((x + dx, y + dy) for x, y in self.cells))
 
     @property
     def min_x(self) -> int:
@@ -260,14 +259,16 @@ def _check_disjoint(cells_by_id: Mapping[str, Iterable[Cell]]) -> dict[Cell, str
 class Configuration:
     """A set of interior-disjoint placements with distinct ids.
 
-    Placements and their world cells are indexed by id at construction, so
-    `placement` and `cells_of` are dict lookups. The index takes no part in
-    equality, hashing or `repr`.
+    Placements and their world cells are indexed by id at construction, and
+    every occupied cell by its owner, so `placement`, `cells_of` and `owner`
+    are dict lookups. The indexes take no part in equality, hashing or
+    `repr`.
     """
 
     placements: tuple[Placement, ...]
     _by_id: dict[str, Placement] = field(init=False, repr=False, compare=False)
     _cells: dict[str, frozenset[Cell]] = field(init=False, repr=False, compare=False)
+    _owners: dict[Cell, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_id = {p.piece_id: p for p in self.placements}
@@ -276,7 +277,7 @@ class Configuration:
             dup = next(i for i in ids if ids.count(i) > 1)
             raise ValueError(f"duplicate piece id {dup!r}")
         cells = {piece_id: p.cells for piece_id, p in by_id.items()}
-        _check_disjoint(cells)
+        object.__setattr__(self, "_owners", _check_disjoint(cells))
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_cells", cells)
 
@@ -315,9 +316,9 @@ class Configuration:
     def cell_map(self) -> dict[str, frozenset[Cell]]:
         return dict(self._cells)
 
-    def without(self, piece_ids: Iterable[str]) -> "Configuration":
-        gone = set(piece_ids)
-        return Configuration(tuple(p for p in self.placements if p.piece_id not in gone))
+    def owner(self, cell: Cell) -> str | None:
+        """The id of the piece occupying `cell`, or None when it is empty."""
+        return self._owners.get(cell)
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         """(min_x, min_y, max_x, max_y) over all occupied cells."""
@@ -330,8 +331,8 @@ class Configuration:
 
 
 def occupied_cells(config: Configuration) -> frozenset[Cell]:
-    """Union of all placement cells; re-verifies pairwise disjointness."""
-    return frozenset(_check_disjoint(config.cell_map()))
+    """Union of all placement cells, read from the owner index."""
+    return frozenset(config._owners)
 
 
 def sweep_collides(
@@ -383,7 +384,8 @@ class Lanes:
 
     A lane is a row when `axis` is "x" and a column when it is "y". For each
     lane the index keeps, for every piece with cells in it, the lowest and
-    highest coordinate of those cells along the axis.
+    highest coordinate of those cells along the axis. Pieces are keyed by
+    any hashable id.
 
     Sliding a rigid set of pieces in the + sign hits another piece Y exactly
     when some lane holds both and Y's highest cell there lies above the set's
@@ -394,14 +396,20 @@ class Lanes:
     cell of Y ahead of it. So one index answers both signs of its axis, and
     `blockers` equals the set of pieces for which `sweep_collides` on the
     union reports a hit; `sweep_collides` stays the reference oracle.
+
+    This is the package's only slide kernel. `separation` builds one index
+    per axis for `blocking_graph`, `simulate_plan` and the group peel and
+    removes pieces as they leave; `search._Engine.escape_at` builds one per
+    axis for every state it tests, keyed by piece index; `classify.pockets`
+    builds one from a shape and one fill component to find the open side.
     """
 
-    def __init__(self, cells_by_id: Mapping[str, Iterable[Cell]], axis: str):
+    def __init__(self, cells_by_id: Mapping[Hashable, Iterable[Cell]], axis: str):
         if axis not in ("x", "y"):
             raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
         # piece id -> {lane: (lowest, highest)}, and the same by lane first
-        self._extents: dict[str, dict[int, tuple[int, int]]] = {}
-        self._lanes: dict[int, dict[str, tuple[int, int]]] = {}
+        self._extents: dict[Hashable, dict[int, tuple[int, int]]] = {}
+        self._lanes: dict[int, dict[Hashable, tuple[int, int]]] = {}
         for piece_id, cells in cells_by_id.items():
             extents: dict[int, tuple[int, int]] = {}
             for x, y in cells:
@@ -412,7 +420,7 @@ class Lanes:
             for lane, extent in extents.items():
                 self._lanes.setdefault(lane, {})[piece_id] = extent
 
-    def blockers(self, piece_ids: Iterable[str], sign: int) -> set[str]:
+    def blockers(self, piece_ids: Iterable[Hashable], sign: int) -> set:
         """The other pieces that the rigid union of `piece_ids` hits.
 
         The union slides to infinity along the axis, towards increasing
@@ -433,7 +441,7 @@ class Lanes:
                     hit.add(other)
         return hit
 
-    def remove(self, piece_ids: Iterable[str]) -> None:
+    def remove(self, piece_ids: Iterable[Hashable]) -> None:
         """Drop these pieces from the index, as if taken off the board."""
         for piece_id in piece_ids:
             for lane in self._extents.pop(piece_id):

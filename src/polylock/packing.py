@@ -10,19 +10,13 @@ the same configuration.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .grid import (
-    Cell,
-    Configuration,
-    Polyomino,
-    enumerate_free,
-    fixed_orientations,
-    occupied_cells,
-)
+from .grid import Cell, Configuration, Polyomino, enumerate_free, fixed_orientations
 
 ShapeFilter = Callable[[Polyomino], bool]
 
@@ -115,15 +109,11 @@ def random_packing(
             break
         placements[f"P{len(placements)}"] = placed
         free.difference_update(placed)
-        free_list = sorted(free)
+        for cell in placed:
+            del free_list[bisect.bisect_left(free_list, cell)]
         filled += len(placed)
 
     return Configuration.from_cell_map(placements)
 
 
-def fill_ratio(config: Configuration, spec: PackingSpec) -> float:
-    """Fraction of the spec's box covered by the configuration."""
-    return len(occupied_cells(config)) / spec.area
-
-
-__all__ = ["PackingSpec", "ShapeFilter", "fill_ratio", "random_packing"]
+__all__ = ["PackingSpec", "ShapeFilter", "random_packing"]

@@ -23,7 +23,10 @@ explored and deduplicated up to two quotients, both read from anchors:
 
 The arena test reads the shifted bounding boxes: a piece lies inside the
 arena rectangle exactly when its bounding box does. Cells are built only
-once per expanded state, to test moves and escapes.
+to test moves and escapes: a unit move is legal when no cell it steps
+into is occupied by a piece outside the moving set, and a set escapes when
+`grid.Lanes`, built per state and keyed by piece index, finds no blocker
+ahead of it. `slide_dependency` reads `Configuration.owner`.
 """
 
 from __future__ import annotations
@@ -33,14 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .grid import (
-    DIRECTIONS,
-    Cell,
-    Configuration,
-    Direction,
-    sweep_collides,
-    translate_cells,
-)
+from .grid import DIRECTIONS, Cell, Configuration, Direction, Lanes
 
 #: Largest rigid subset tried in subset-move mode.
 DEFAULT_SUBSET_CAP = 4
@@ -198,28 +194,32 @@ class _Engine:
                     subsets.append(combo)
         return subsets
 
-    def _split(
-        self, offsets: tuple[Cell, ...], mode: str, cap: int
-    ) -> Iterator[tuple[tuple[int, ...], set[Cell], set[Cell]]]:
-        """(piece indices, moving cells, other cells) for every move set."""
-        cells = [
+    def _cells(self, offsets: tuple[Cell, ...]) -> list[set[Cell]]:
+        """Each piece's cells in the state, in piece-index order."""
+        return [
             {(x + ox, y + oy) for x, y in base}
             for base, (ox, oy) in zip(self.base_cells, offsets)
         ]
-        occupied = set().union(*cells)
+
+    def _move_sets(
+        self, cells: list[set[Cell]], mode: str, cap: int
+    ) -> list[tuple[int, ...]]:
+        """Piece-index sets that may move: singles, then contact subsets."""
         combos: list[tuple[int, ...]] = [(i,) for i in range(len(cells))]
         if mode == SUBSET_MOVE:
             combos.extend(self._contact_subsets(cells, cap))
-        for combo in combos:
-            moving = set().union(*(cells[i] for i in combo))
-            yield combo, moving, occupied - moving
+        return combos
 
     def unit_moves(
         self, offsets: tuple[Cell, ...], mode: str, cap: int
     ) -> Iterator[tuple[frozenset[str], Direction, tuple[Cell, ...]]]:
-        for combo, moving, others in self._split(offsets, mode, cap):
+        cells = self._cells(offsets)
+        occupied = set().union(*cells)
+        for combo in self._move_sets(cells, mode, cap):
+            moving = set().union(*(cells[i] for i in combo))
+            others = occupied - moving
             for direction in DIRECTIONS:
-                dx, dy = direction.value
+                dx, dy = direction.dx, direction.dy
                 if any((x + dx, y + dy) in others for x, y in moving):
                     continue
                 moved = tuple(
@@ -231,12 +231,15 @@ class _Engine:
     def escape_at(
         self, offsets: tuple[Cell, ...], mode: str, cap: int
     ) -> tuple[frozenset[str], Direction] | None:
-        """First piece set whose infinite sweep clears everything else."""
-        for combo, moving, others in self._split(offsets, mode, cap):
+        """First piece set whose slide to infinity clears everything else."""
+        cells = self._cells(offsets)
+        by_index = dict(enumerate(cells))
+        lanes = {axis: Lanes(by_index, axis) for axis in ("x", "y")}
+        for combo in self._move_sets(cells, mode, cap):
             if len(combo) == len(self.ids) > 1:
                 continue
             for direction in DIRECTIONS:
-                if not sweep_collides(moving, others, direction):
+                if not lanes[direction.axis].blockers(combo, direction.sign):
                     return frozenset(self.ids[i] for i in combo), direction
         return None
 
@@ -379,17 +382,16 @@ def slide_dependency(
 
     The transitive closure of the one-cell-step blocker relation: starting
     from the piece, keep adding every piece whose cells intersect the unit
-    step of a piece already in the set.
+    step of a piece already in the set. Each stepped cell is one
+    `Configuration.owner` lookup, so the closure costs O(cells).
     """
-    config.placement(piece)  # raises KeyError for unknown pieces
-    cells = config.cell_map()
     dependency = {piece}
     frontier = [piece]
     while frontier:
-        pid = frontier.pop()
-        stepped = translate_cells(cells[pid], direction.dx, direction.dy)
-        for other in sorted(set(config.piece_ids()) - dependency):
-            if stepped & cells[other]:
+        # raises KeyError for an unknown piece on the first pass
+        for x, y in config.cells_of(frontier.pop()):
+            other = config.owner((x + direction.dx, y + direction.dy))
+            if other is not None and other not in dependency:
                 dependency.add(other)
                 frontier.append(other)
     return frozenset(dependency)

@@ -12,14 +12,10 @@ members cannot leave one by one slide out whole in the peel direction; its
 union is row-contiguous, so it moves like one well-behaved shape. Plans are
 never trusted: `simulate_plan` replays them move by move.
 
-Every slide query here is answered by `grid.Lanes`, one index per axis
-holding each piece's lowest and highest coordinate in every row or column
-it meets. A rigid set sliding in the + sign hits a piece exactly when, in
-some shared lane, that piece's highest cell lies above the set's lowest
-cell (the - sign mirrors this), which is exact because cells are disjoint.
-Pieces only ever leave the board, so the index is built once and pieces are
-removed from it as they go. `grid.sweep_collides` is the pairwise reference
-oracle the index is tested against.
+Every slide query here is answered by `grid.Lanes`, one index per axis;
+its docstring states the exact lane rule. Pieces only ever leave the
+board, so the index is built once and pieces are removed from it as they
+go. `group_le5` finds the piece in a U's pocket with `Configuration.owner`.
 """
 
 from __future__ import annotations
@@ -76,9 +72,6 @@ class BlockingGraph:
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
 
-    def blockers_of(self, piece_id: str) -> frozenset[str]:
-        return frozenset(q for q, p in self.edges if p == piece_id)
-
 
 @dataclass(frozen=True)
 class Group:
@@ -104,9 +97,6 @@ class Move:
 @dataclass(frozen=True)
 class SeparationPlan:
     moves: tuple[Move, ...]
-
-    def covered_ids(self) -> frozenset[str]:
-        return frozenset(pid for move in self.moves for pid in move.piece_ids)
 
 
 @dataclass(frozen=True)
@@ -290,18 +280,13 @@ def group_le5(config: Configuration) -> list[Group]:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    owner = {
-        cell: placement.piece_id
-        for placement in config.placements
-        for cell in placement.cells
-    }
     vertical_us: dict[str, Cell] = {}
     for placement in config.placements:
         found = u_pocket(placement.cells)
         if found is not None and found[1].axis == "y":
             vertical_us[placement.piece_id] = found[0]
     for pid, pocket in vertical_us.items():
-        occupant = owner.get(pocket)
+        occupant = config.owner(pocket)
         if occupant is not None:
             union(pid, occupant)
 

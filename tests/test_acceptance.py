@@ -27,9 +27,9 @@ from polylock import (
     simulate_plan,
 )
 from polylock.formats import EMIT_ALPHABET, emit_grid, emit_structured, parse_config
-from polylock.grid import Configuration, fixed_orientations
+from polylock.grid import Configuration, fixed_orientations, occupied_cells
 from polylock.instances import pinwheel, tray_with_key
-from polylock.packing import PackingSpec, fill_ratio, random_packing
+from polylock.packing import PackingSpec, random_packing
 from polylock.svg import render_svg
 
 U_PENTOMINO = Polyomino.from_cells([(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)])
@@ -94,7 +94,7 @@ def test_criterion_03_planner_separates_dense_random_packings():
     worst = 0.0
     for seed in range(100):
         config = random_packing(seed)
-        assert fill_ratio(config, spec) >= 0.5
+        assert len(occupied_cells(config)) / spec.area >= 0.5
         started = time.perf_counter()
         plan = separate_le5(config)
         report = simulate_plan(config, plan)

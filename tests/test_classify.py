@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from polylock.classify import (
     EnclosedHoleError,
+    Pocket,
     U_PENTOMINO,
+    _fill_cells,
     classify,
     is_monotone,
     monotone_closure,
@@ -21,6 +23,7 @@ from polylock.grid import (
     canonical_free_form,
     enumerate_free,
     neighbors,
+    sweep_collides,
 )
 
 from test_grid import polyominoes
@@ -223,6 +226,72 @@ def test_filling_pockets_restores_monotonicity(s, axis):
         filled |= p.cells
     assert frozenset(filled) == monotone_closure(s.cells, axis)
     assert is_monotone(Polyomino(frozenset(filled)), axis)
+
+
+def _pairwise_pockets(s, axis):
+    """`pockets` as it was, deciding each open side with `sweep_collides`."""
+    added = _fill_cells(s.cells, axis)
+    out = []
+    while added:
+        seed = added.pop()
+        component = {seed}
+        stack = [seed]
+        while stack:
+            for nb in neighbors(stack.pop()):
+                if nb in added:
+                    added.remove(nb)
+                    component.add(nb)
+                    stack.append(nb)
+        pos, neg = (
+            (Direction.POS_Y, Direction.NEG_Y)
+            if axis == "y"
+            else (Direction.POS_X, Direction.NEG_X)
+        )
+        pos_open = not sweep_collides(component, s.cells, pos)
+        neg_open = not sweep_collides(component, s.cells, neg)
+        if not pos_open and not neg_open:
+            raise EnclosedHoleError(frozenset(component))
+        out.append(Pocket(cells=frozenset(component), opening=pos if pos_open else neg))
+    out.sort(key=lambda p: min(p.cells))
+    return out
+
+
+def _pockets_or_hole(find, s, axis):
+    try:
+        return find(s, axis)
+    except EnclosedHoleError as err:
+        return ("hole", err.cells)
+
+
+#: The shapes of the pocket tests above: each opens a pocket on some axis.
+POCKET_SHAPES = {
+    "u": U_CELLS,
+    "wide_u": {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (3, 1)},
+    "cap": {(0, 0), (2, 0), (0, 1), (1, 1), (2, 1)},
+    "h": {(0, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (2, 2)},
+    "zigzag": {(0, 0), (2, 0), (0, 1), (1, 1), (2, 1), (1, 2), (0, 3), (1, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(POCKET_SHAPES))
+def test_pockets_match_pairwise_sweeps_on_named_shapes(name):
+    s = shape(*POCKET_SHAPES[name])
+    found = [p for axis in ("x", "y") for p in pockets(s, axis)]
+    assert found
+    assert found == [p for axis in ("x", "y") for p in _pairwise_pockets(s, axis)]
+    # every shape turned by a quarter turn and mirrored opens the other ways
+    for turned in (Polyomino(frozenset((-y, x) for x, y in s.cells)),
+                   Polyomino(frozenset((x, -y) for x, y in s.cells))):
+        for axis in ("x", "y"):
+            assert pockets(turned, axis) == _pairwise_pockets(turned, axis)
+
+
+@settings(max_examples=200)
+@given(polyominoes(max_cells=10), st.sampled_from(["x", "y"]))
+def test_pockets_match_pairwise_sweeps(s, axis):
+    assert _pockets_or_hole(pockets, s, axis) == _pockets_or_hole(
+        _pairwise_pockets, s, axis
+    )
 
 
 # --------------------------------------------------------------------------

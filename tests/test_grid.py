@@ -8,13 +8,16 @@ canonical form.
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polylock
 from polylock.grid import (
     Configuration,
     Direction,
@@ -28,6 +31,7 @@ from polylock.grid import (
     enumerate_free,
     occupied_cells,
     sweep_collides,
+    translate_cells,
 )
 
 # --------------------------------------------------------------------------
@@ -143,7 +147,8 @@ def test_canonicalize_negative_offsets():
 
 @given(polyominoes(), st.integers(-50, 50), st.integers(-50, 50))
 def test_canonicalize_translation_invariant(shape, dx, dy):
-    assert canonicalize(shape.translate(dx, dy)) == canonicalize(shape)
+    moved = Polyomino(translate_cells(shape.cells, dx, dy))
+    assert canonicalize(moved) == canonicalize(shape)
 
 
 @given(polyominoes())
@@ -285,12 +290,27 @@ def test_configuration_index_is_invisible():
     assert config == twin and hash(config) == hash(twin)
     assert config != Configuration(placements[:1])
     assert repr(config) == f"Configuration(placements={placements!r})"
+    # the owner map is per-instance state, yet equality, hash and repr ignore it
+    assert config._owners is not twin._owners
+    object.__setattr__(twin, "_owners", {})
+    assert config == twin and hash(config) == hash(twin)
+    assert repr(twin) == repr(config)
     assert config.placement("b") is placements[1]
     assert config.cells_of("b") == frozenset({(0, 1), (1, 1)})
     assert config.cell_map() == {"a": {(0, 0), (1, 0)}, "b": {(0, 1), (1, 1)}}
     for lookup in (config.placement, config.cells_of):
         with pytest.raises(KeyError, match="no piece 'c'"):
             lookup("c")
+
+
+def test_owner_names_the_piece_on_a_cell():
+    config = Configuration.from_cell_map(
+        {"a": [(0, 0), (1, 0)], "b": [(3, 0), (3, 1)]}
+    )
+    assert config.owner((3, 1)) == "b"
+    assert config.owner((1, 0)) == "a"
+    assert config.owner((2, 0)) is None
+    assert Configuration(()).owner((0, 0)) is None
 
 
 # --------------------------------------------------------------------------
@@ -338,7 +358,7 @@ def test_sweep_rejects_bad_distance():
 
 
 def _brute_force_sweep(mover, obstacle, direction, k):
-    dx, dy = direction.vector
+    dx, dy = direction.dx, direction.dy
     for step in range(1, k + 1):
         shifted = {(x + dx * step, y + dy * step) for x, y in mover}
         if shifted & obstacle:
@@ -457,3 +477,14 @@ def test_lanes_blockers_match_pairwise_sweeps(seed):
             axis_lanes.remove(gone)
         for pid in gone:
             del on_board[pid]
+
+
+def test_only_grid_binds_sweep_collides():
+    """`Lanes` is the one slide kernel; `sweep_collides` is the tests' oracle."""
+    names = [info.name for info in pkgutil.iter_modules(polylock.__path__)]
+    assert "grid" in names and "search" in names
+    for name in names:
+        module = importlib.import_module(f"polylock.{name}")
+        assert hasattr(module, "sweep_collides") == (name == "grid"), name
+    assert "sweep_collides" not in polylock.__all__
+    assert not hasattr(polylock, "sweep_collides")

@@ -1,17 +1,70 @@
 """Seeded packing generator: determinism, budgets, and filter guarantees."""
 
+import random
+
 import pytest
 
 from polylock import Configuration, occupied_cells
 from polylock.classify import is_monotone
 from polylock.grid import Polyomino
-from polylock.packing import PackingSpec, fill_ratio, random_packing
+from polylock.packing import PackingSpec, _shape_pools, random_packing
 
 DENSE = PackingSpec()
 
 
 def test_same_seed_same_packing():
     assert random_packing(7, DENSE) == random_packing(7, DENSE)
+
+
+def _resorting_packing(seed, spec, shape_filter=None):
+    """`random_packing` as it was: the free list re-sorted after each piece."""
+    rng = random.Random(seed)
+    pools = _shape_pools(spec.max_cells, shape_filter)
+    free = {(x, y) for x in range(spec.width) for y in range(spec.height)}
+    free_list = sorted(free)
+    placements = {}
+    filled = 0
+    while (
+        free
+        and len(placements) < spec.max_pieces
+        and filled < spec.target_density * spec.area
+    ):
+        placed = None
+        for _, variants in pools:
+            for _ in range(spec.placement_attempts):
+                variant = variants[rng.randrange(len(variants))]
+                ax, ay = variant[rng.randrange(len(variant))]
+                cx, cy = free_list[rng.randrange(len(free_list))]
+                world = [(x - ax + cx, y - ay + cy) for x, y in variant]
+                if all(cell in free for cell in world):
+                    placed = world
+                    break
+            if placed is not None:
+                break
+        if placed is None:
+            break
+        placements[f"P{len(placements)}"] = placed
+        free.difference_update(placed)
+        free_list = sorted(free)
+        filled += len(placed)
+    return Configuration.from_cell_map(placements)
+
+
+@pytest.mark.parametrize(
+    "spec, shape_filter",
+    [
+        (DENSE, None),
+        (PackingSpec(width=9, height=7, max_pieces=40, target_density=1.0), None),
+        (PackingSpec(width=12, height=12, max_cells=7, max_pieces=30), None),
+        (DENSE, lambda shape: is_monotone(shape, "y")),
+    ],
+    ids=["dense", "full", "heptominoes", "row-contiguous"],
+)
+def test_packing_matches_the_resorting_generator(spec, shape_filter):
+    for seed in range(12):
+        assert random_packing(seed, spec, shape_filter) == _resorting_packing(
+            seed, spec, shape_filter
+        )
 
 
 def test_different_seeds_differ():
@@ -22,7 +75,7 @@ def test_different_seeds_differ():
 def test_dense_packing_meets_budget_and_density(seed):
     config = random_packing(seed, DENSE)
     assert len(config) <= DENSE.max_pieces
-    assert fill_ratio(config, DENSE) >= DENSE.target_density
+    assert len(occupied_cells(config)) / DENSE.area >= DENSE.target_density
     min_x, min_y, max_x, max_y = config.bounding_box()
     assert 0 <= min_x and max_x < DENSE.width
     assert 0 <= min_y and max_y < DENSE.height

@@ -26,10 +26,10 @@ from polylock import (
     legal_moves,
     replay_trace,
     slide_dependency,
-    sweep_collides,
 )
-from polylock.grid import is_connected
+from polylock.grid import is_connected, sweep_collides, translate_cells
 from polylock.instances import (
+    case4_group,
     keyhole_pair,
     mutual_u_pair,
     pinwheel,
@@ -37,7 +37,7 @@ from polylock.instances import (
     z_chain,
 )
 from polylock.packing import PackingSpec, random_packing
-from polylock.search import DEFAULT_SUBSET_CAP
+from polylock.search import DEFAULT_SUBSET_CAP, _Engine
 from polylock.separation import separate_le5, simulate_plan
 
 POS_X, NEG_X, POS_Y, NEG_Y = (
@@ -50,6 +50,11 @@ POS_X, NEG_X, POS_Y, NEG_Y = (
 
 def _config(**pieces):
     return Configuration.from_cell_map(pieces)
+
+
+def _without(config, piece_ids):
+    gone = set(piece_ids)
+    return Configuration(tuple(p for p in config.placements if p.piece_id not in gone))
 
 
 def _snug_box():
@@ -305,9 +310,42 @@ class TestSlideDependency:
                 dependency = slide_dependency(config, pid, direction)
                 assert pid in dependency
                 outsiders = sorted(set(config.piece_ids()) - dependency)
-                reduced = config.without(outsiders)
+                reduced = _without(config, outsiders)
                 assert set(reduced.piece_ids()) == set(dependency)
                 assert slide_dependency(reduced, pid, direction) == dependency
+
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_quadratic_closure(self, seed):
+        spec = PackingSpec(
+            width=8, height=8, max_pieces=16, max_cells=5, target_density=0.9
+        )
+        config = random_packing(seed, spec)
+        sizes = []
+        for pid in config.piece_ids():
+            for direction in DIRECTIONS:
+                dependency = slide_dependency(config, pid, direction)
+                assert dependency == _quadratic_slide_dependency(
+                    config, pid, direction
+                )
+                sizes.append(len(dependency))
+        # the packings are dense enough for long chains of pushes
+        assert max(sizes) >= 4
+
+
+def _quadratic_slide_dependency(config, piece, direction):
+    """`slide_dependency` as it was: translate each piece, test every other."""
+    cells = config.cell_map()
+    dependency = {piece}
+    frontier = [piece]
+    while frontier:
+        pid = frontier.pop()
+        stepped = translate_cells(cells[pid], direction.dx, direction.dy)
+        for other in sorted(set(config.piece_ids()) - dependency):
+            if stepped & cells[other]:
+                dependency.add(other)
+                frontier.append(other)
+    return frozenset(dependency)
 
 
 class TestReplayTrace:
@@ -499,6 +537,88 @@ class TestPlainBfsOracle:
             answer = key_piece_reachable(config, key, displacement, budget)
             assert (answer.outcome == "reachable") == reached
             assert answer.states_explored <= states
+
+
+def _pairwise_escape_at(engine, offsets, mode, cap):
+    """`escape_at` as it was: sweep each move set against all other cells."""
+    cells = [
+        {(x + ox, y + oy) for x, y in base}
+        for base, (ox, oy) in zip(engine.base_cells, offsets)
+    ]
+    occupied = set().union(*cells)
+    combos = [(i,) for i in range(len(cells))]
+    if mode == SUBSET_MOVE:
+        combos.extend(engine._contact_subsets(cells, cap))
+    for combo in combos:
+        if len(combo) == len(engine.ids) > 1:
+            continue
+        moving = set().union(*(cells[i] for i in combo))
+        for direction in DIRECTIONS:
+            if not sweep_collides(moving, occupied - moving, direction):
+                return frozenset(engine.ids[i] for i in combo), direction
+    return None
+
+
+def _states_near_start(engine, mode, steps, limit=25):
+    """Normalised offsets within `steps` unit moves of the start, BFS order."""
+    start = tuple((0, 0) for _ in engine.ids)
+    seen = [start]
+    layer = [start]
+    for _ in range(steps):
+        following = []
+        for offsets in layer:
+            for _, _, moved in engine.unit_moves(offsets, mode, DEFAULT_SUBSET_CAP):
+                moved = engine.normalize(moved)
+                if moved not in seen and len(seen) < limit:
+                    seen.append(moved)
+                    following.append(moved)
+        layer = following
+    return seen
+
+
+def _escape_pairs(config, mode, steps):
+    engine = _Engine(config, radius=2)
+    return [
+        (
+            engine.escape_at(offsets, mode, DEFAULT_SUBSET_CAP),
+            _pairwise_escape_at(engine, offsets, mode, DEFAULT_SUBSET_CAP),
+        )
+        for offsets in _states_near_start(engine, mode, steps)
+    ]
+
+
+class TestEscapeAtOracle:
+    """`escape_at` reads lane extents; the pairwise sweep is the oracle."""
+
+    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
+    @given(
+        seed=st.integers(0, 10_000),
+        side=st.integers(2, 6),
+        density=st.sampled_from([0.5, 0.8, 1.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_escape_at_matches_pairwise_sweeps(self, mode, seed, side, density):
+        spec = PackingSpec(
+            width=side, height=side, max_pieces=8, max_cells=5, target_density=density
+        )
+        config = random_packing(seed, spec)
+        assume(config.placements)
+        for got, expected in _escape_pairs(config, mode, steps=2):
+            assert got == expected
+
+    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
+    def test_escape_at_matches_on_named_instances(self, mode):
+        results = []
+        for build in (case4_group, keyhole_pair, mutual_u_pair, pinwheel, tray_with_key):
+            config = build()
+            for got, expected in _escape_pairs(config, mode, steps=3):
+                assert got == expected
+                results.append((got, min(config.piece_ids())))
+        # the corpus has locked states, and escapes by a later move set
+        assert any(got is None for got, _ in results)
+        assert any(got and got[0] != {first} for got, first in results)
+        if mode == SUBSET_MOVE:
+            assert any(got and len(got[0]) > 1 for got, _ in results)
 
 
 class TestPlannerAgreement:
