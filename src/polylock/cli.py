@@ -24,6 +24,7 @@ from .corridor import (
 from .formats import ParsedDocument, emit_grid, parse_document
 from .grid import Configuration, Direction, Polyomino, enumerate_free
 from .search import (
+    MAX_ARENA_CELLS,
     SINGLE_PIECE,
     SUBSET_MOVE,
     SearchBudget,
@@ -274,8 +275,21 @@ def _cmd_render(args) -> int:
 
 
 def _add_budget_flags(parser) -> None:
-    parser.add_argument("--radius", type=int, default=3)
-    parser.add_argument("--max-states", type=int, default=1_000_000)
+    parser.add_argument(
+        "--radius",
+        type=int,
+        default=3,
+        help=(
+            "arena margin around the bounding box (default %(default)s); "
+            f"an arena over {MAX_ARENA_CELLS} cells is refused with exit 1"
+        ),
+    )
+    parser.add_argument(
+        "--max-states",
+        type=int,
+        default=1_000_000,
+        help="stop with exit 3 after this many states (default %(default)s)",
+    )
     parser.add_argument("--mode", choices=("single", "subset"), default="single")
 
 

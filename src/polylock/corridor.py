@@ -8,7 +8,11 @@ that pin every level onto horizontal sliders.
 
 Measurements use floats; decisions that classify a scene (snug or not,
 feasible or not, bound met or not) compare exact rationals, so a fit
-that is snug in the input data is never misread through rounding.
+that is snug in the input data is never misread through rounding. Floats
+carry only the printed measurements and witnesses, so every length is
+capped at `MAX_LENGTH`, which keeps them finite. A positive length too
+small for a float is still valid: it is decided exactly and measured as
+0.0.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ EPSILON_DIVISOR = 10
 #: Denominator of the margin construction: margins of width / 5 per side.
 MARGIN_DIVISOR = 5
 
+#: Largest accepted length (width, height, gap, overlap or epsilon), so that
+#: the floats measured from it (sums included) stay finite.
+MAX_LENGTH = 10**300
+
 
 class InfeasibleSceneError(ValueError):
     """The rectangle is taller than the corridor and cannot fit at all."""
@@ -42,6 +50,8 @@ def _checked(name: str, value: Number, minimum_exclusive: bool = True) -> Number
         raise ValueError(f"{name} must be positive, got {value!r}")
     if not minimum_exclusive and value < 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
+    if value > MAX_LENGTH:
+        raise ValueError(f"{name} must be at most 1e300")
     return value
 
 
@@ -138,7 +148,12 @@ def rotated_vertical_extent(w: Number, h: Number, beta: float) -> float:
     angle = abs(float(beta))
     if not angle < math.pi / 2:
         raise ValueError(f"|beta| must be below pi/2, got {beta!r}")
-    return float(h) * math.cos(angle) + float(w) * math.sin(angle)
+    return _extent(float(w), float(h), angle)
+
+
+def _extent(w: float, h: float, angle: float) -> float:
+    """The extent formula alone, for measured (possibly underflowed) floats."""
+    return h * math.cos(angle) + w * math.sin(angle)
 
 
 def corridor_pins_horizontally(scene: CorridorScene) -> PinningReport:
@@ -164,16 +179,16 @@ def corridor_pins_horizontally(scene: CorridorScene) -> PinningReport:
     h = float(scene.rect_height)
     target = float(scene.corridor_gap)
     peak = math.atan2(w, h)
-    if rotated_vertical_extent(w, h, peak) <= target:
+    if _extent(w, h, peak) <= target:
         return PinningReport(pinned=False, witness_beta=peak)
     low, high = 0.0, peak
     while high - low > BISECTION_TOLERANCE:
         mid = (low + high) / 2
-        if rotated_vertical_extent(w, h, mid) <= target:
+        if _extent(w, h, mid) <= target:
             low = mid
         else:
             high = mid
-    while low == 0.0 and rotated_vertical_extent(w, h, high) > target:
+    while low == 0.0 and _extent(w, h, high) > target:
         high /= 2
     return PinningReport(pinned=False, witness_beta=low if low > 0.0 else high)
 
@@ -237,6 +252,7 @@ __all__ = [
     "ChainReport",
     "CorridorScene",
     "InfeasibleSceneError",
+    "MAX_LENGTH",
     "PinningReport",
     "RectChainScene",
     "chain_hypotheses_hold",

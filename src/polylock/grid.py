@@ -6,11 +6,11 @@ and reflection. All motion elsewhere in the package is axis-aligned
 translation by whole cells, so the continuous sweep of a piece reduces to
 checking the integer stations along the way.
 
-`Lanes` is the package's one slide kernel: `separation`, `search` and
-`classify` ask it whom a rigid set hits when slid to infinity.
-`Configuration.owner` is the one cell -> piece lookup. `sweep_collides`
-is the pairwise reference oracle the tests check `Lanes` against; no
-other module calls it.
+`Lanes` is the slide kernel of `separation` and `classify`: they ask it
+whom a rigid set hits when slid to infinity. (`search` tests its slides
+on per-state bitboards instead.) `Configuration.owner` is the one
+cell -> piece lookup. `sweep_collides` is the pairwise reference oracle
+the tests check `Lanes` against; no other module calls it.
 """
 
 from __future__ import annotations
@@ -397,11 +397,10 @@ class Lanes:
     `blockers` equals the set of pieces for which `sweep_collides` on the
     union reports a hit; `sweep_collides` stays the reference oracle.
 
-    This is the package's only slide kernel. `separation` builds one index
-    per axis for `blocking_graph`, `simulate_plan` and the group peel and
-    removes pieces as they leave; `search._Engine.escape_at` builds one per
-    axis for every state it tests, keyed by piece index; `classify.pockets`
-    builds one from a shape and one fill component to find the open side.
+    `separation` builds one index per axis for `blocking_graph`,
+    `simulate_plan` and the group peel and removes pieces as they leave;
+    `classify.pockets` builds one from a shape and one fill component to
+    find the open side.
     """
 
     def __init__(self, cells_by_id: Mapping[Hashable, Iterable[Cell]], axis: str):

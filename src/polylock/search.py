@@ -22,24 +22,33 @@ explored and deduplicated up to two quotients, both read from anchors:
   anchor lands. Traces still name concrete piece ids and replay legally.
 
 The arena test reads the shifted bounding boxes: a piece lies inside the
-arena rectangle exactly when its bounding box does. Cells are built only
-to test moves and escapes: a unit move is legal when no cell it steps
-into is occupied by a piece outside the moving set, and a set escapes when
-`grid.Lanes`, built per state and keyed by piece index, finds no blocker
-ahead of it. `slide_dependency` reads `Configuration.owner`.
+arena rectangle exactly when its bounding box does. Moves and escapes are
+tested on Python-int bitboards, one mask per piece per state, laid out over
+the union of the pieces' shifted boxes (see `_Engine`). A unit move is
+legal when the moving mask's step meets no other piece's bit; subset mode
+grows its connected move sets from the pieces' contact graph with ESU; and
+a set escapes when a Kogge-Stone ray fill of its mask meets no other
+piece's bit. The masks grow with the arena, so its area is capped at
+`MAX_ARENA_CELLS`. `slide_dependency` reads `Configuration.owner`.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator
 
-from .grid import DIRECTIONS, Cell, Configuration, Direction, Lanes
+from .grid import DIRECTIONS, Cell, Configuration, Direction
 
 #: Largest rigid subset tried in subset-move mode.
 DEFAULT_SUBSET_CAP = 4
+
+#: Largest arena, in cells, that a search may cover: the configuration's
+#: bounding box grown by the radius on every side. Every state's bitboards
+#: lie inside the arena, so their size, and the cost of each move test,
+#: grows with it.
+MAX_ARENA_CELLS = 1_000_000
 
 SINGLE_PIECE = "single-piece"
 SUBSET_MOVE = "subset-move"
@@ -100,6 +109,69 @@ class KeyPieceAnswer:
     trace: tuple[TraceMove, ...] | None = None
 
 
+def _piece_indices(bits: int, count: int) -> tuple[int, ...]:
+    """The ascending piece indices of a set whose piece i is bit count - 1 - i."""
+    found = []
+    while bits:
+        top = bits.bit_length() - 1
+        found.append(count - 1 - top)
+        bits ^= 1 << top
+    return tuple(found)
+
+
+def _slide_blocked(moving: int, others: int, direction: Direction, geometry) -> bool:
+    """Does the `moving` mask, slid to infinity, meet a bit of `others`?
+
+    A Kogge-Stone ray fill: each round ORs in the fill shifted by twice the
+    last round's distance, so log2(box side) rounds cover the box. Along x
+    the shifted bits are masked to the cells the fill may reach in one
+    jump without crossing a pad column; along y nothing wraps. The test
+    runs after every round, so a slide blocked near its start stops early.
+    """
+    _, x_rounds, y_shifts = geometry
+    forward = direction.sign > 0
+    fill = moving
+    if direction.axis == "x":
+        for shift, ahead, behind in x_rounds:
+            fill |= (fill << shift) & ahead if forward else (fill >> shift) & behind
+            if fill & others:
+                return True
+    else:
+        for shift in y_shifts:
+            fill |= fill << shift if forward else fill >> shift
+            if fill & others:
+                return True
+    return False
+
+
+def _box_geometry(width: int, height: int) -> tuple:
+    """(stride, x rounds, y shifts) of a width x height box's layout.
+
+    An x round is (shift, ahead, behind), the Kogge-Stone propagators:
+    ahead holds the box cells whose shift - 1 predecessors in bit order are
+    box cells too, so a +x jump by `shift` that lands in it never crosses
+    a pad column; behind mirrors it for -x. Rounds double the shift until
+    it reaches the width, and the y shifts likewise up to the height.
+    """
+    stride = width + 1
+    ahead = behind = ((1 << width) - 1) * (
+        ((1 << stride * height) - 1) // ((1 << stride) - 1)
+    )
+    x_rounds = []
+    shift = 1
+    while shift < width:
+        x_rounds.append((shift, ahead, behind))
+        ahead &= ahead << shift
+        behind &= behind >> shift
+        shift <<= 1
+    y_shifts = []
+    shift = 1
+    while shift < height:
+        y_shifts.append(shift * stride)
+        shift <<= 1
+    return stride, tuple(x_rounds), tuple(y_shifts)
+
+
 class _Engine:
     """Expands unit moves over offset vectors for one base configuration.
 
@@ -107,7 +179,34 @@ class _Engine:
     engine keeps each piece's base cells, its anchor (lexicographically
     smallest base cell) and its bounding box. Translating a piece moves its
     anchor and box by the same offset, so drift, arena and state key are
-    read from those in O(pieces); cells are built only to test moves.
+    read from those in O(pieces).
+
+    Moves and escapes are tested on Python-int bitboards laid out per state
+    by `_layout`. The layout is the union of the pieces' shifted bounding
+    boxes, row-major, with one empty pad column after every row: cell
+    (x, y) is bit (y - bottom) * stride + (x - left), and the stride is the
+    box width plus the pad. A step along x is a shift by 1 and a step along
+    y a shift by the stride. The pad is the one-cell margin on both x sides
+    of a row, so a step off either end of a row lands in a pad column,
+    never on another row's cell; a step off the bottom or the top leaves
+    the box, where no piece has a bit. Because the layout follows the
+    state, not the arena, states outside the arena are read exactly too.
+    Each piece's mask is OR-ed once per stride from precomputed per-row bit
+    strips and shifted to the piece's box corner in each state.
+
+    * A unit move of the moving mask m is legal when the step of m meets
+      no bit of occupied ^ m.
+    * Contact subsets (subset mode) come from the contact graph: each
+      piece's one-step halo is tested against every later piece's mask.
+      ESU (Wernicke 2006) grows every connected set of 2..cap pieces once,
+      from its smallest index, extending only by larger indices and by
+      neighbours no earlier member already touches. The sets are sorted
+      by (size, index tuple), the order the BFS has always used, so state
+      counts and traces do not depend on the enumeration.
+    * A set escapes along a direction when the ray fill of its mask across
+      the box (`_slide_blocked`) meets no other piece's bit: a cell ahead
+      in a lane of a moving cell blocks the slide, and no cell lies
+      outside the box.
     """
 
     def __init__(self, config: Configuration, radius: int, key_piece: str | None = None):
@@ -133,8 +232,25 @@ class _Engine:
         )
 
         min_x, min_y, max_x, max_y = config.bounding_box()
+        width = max_x - min_x + 1 + 2 * radius
+        height = max_y - min_y + 1 + 2 * radius
+        if width * height > MAX_ARENA_CELLS:
+            raise ValueError(
+                f"search arena of {width}x{height} = {width * height} cells "
+                f"(bounding box plus radius {radius} on each side) exceeds "
+                f"the cap of {MAX_ARENA_CELLS} cells"
+            )
         self.arena = (min_x - radius, min_y - radius, max_x + radius, max_y + radius)
         self.initial_min = min(self.anchors)
+
+        # each piece's cells as (row above its box corner, bit strip) pairs
+        strips: list[dict[int, int]] = [{} for _ in self.ids]
+        for rows, cells, (x0, y0, _, _) in zip(strips, self.base_cells, self.boxes):
+            for x, y in cells:
+                rows[y - y0] = rows.get(y - y0, 0) | 1 << (x - x0)
+        self.strips = tuple(tuple(rows.items()) for rows in strips)
+        self._shapes: dict[int, tuple[int, ...]] = {}
+        self._geometry: dict[tuple[int, int], tuple] = {}
 
     def normalize(self, offsets: tuple[Cell, ...]) -> tuple[Cell, ...]:
         mx, my = min(
@@ -165,81 +281,157 @@ class _Engine:
             )
         )
 
+    def _layout(self, offsets: tuple[Cell, ...]) -> tuple[list[int], tuple]:
+        """Each piece's mask in this state's box, and the box's geometry.
+
+        The geometry is (stride, x rounds, y shifts) for `_slide_blocked`,
+        cached per box size, and the pieces' masks at their box corners are
+        cached per stride.
+        """
+        xs, ys, highs_x, highs_y = zip(
+            *[
+                (x0 + ox, y0 + oy, x1 + ox, y1 + oy)
+                for (x0, y0, x1, y1), (ox, oy) in zip(self.boxes, offsets)
+            ]
+        )
+        left, bottom = min(xs), min(ys)
+        size = (max(highs_x) - left + 1, max(highs_y) - bottom + 1)
+        geometry = self._geometry.get(size)
+        if geometry is None:
+            geometry = self._geometry[size] = _box_geometry(*size)
+        stride = geometry[0]
+        shapes = self._shapes.get(stride)
+        if shapes is None:
+            shapes = self._shapes[stride] = tuple(
+                sum(strip << row * stride for row, strip in rows)
+                for rows in self.strips
+            )
+        masks = [
+            shape << (y - bottom) * stride + x - left
+            for shape, x, y in zip(shapes, xs, ys)
+        ]
+        return masks, geometry
+
     def _contact_subsets(
-        self, cells: list[set[Cell]], cap: int
-    ) -> list[tuple[int, ...]]:
-        """Index subsets of 2..cap pieces whose union touches edge-to-edge."""
-        count = len(cells)
-        touching: list[set[int]] = [set() for _ in range(count)]
-        for a, b in itertools.combinations(range(count), 2):
-            expanded = {
-                (x + dx, y + dy)
-                for x, y in cells[a]
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
-            }
-            if expanded & cells[b]:
-                touching[a].add(b)
-                touching[b].add(a)
-        subsets = []
-        for size in range(2, min(cap, count) + 1):
-            for combo in itertools.combinations(range(count), size):
-                chosen = set(combo)
-                seen = {combo[0]}
-                queue = [combo[0]]
-                while queue:
-                    for nxt in touching[queue.pop()] & chosen - seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-                if len(seen) == size:
-                    subsets.append(combo)
+        self, masks: list[int], stride: int, cap: int
+    ) -> list[tuple[int, int]]:
+        """(set bits, union mask) of each edge-connected set of 2..cap pieces.
+
+        Sorted by size, then by the ascending tuple of piece indices. Piece
+        i is bit count - 1 - i of a set, so among sets of one size the
+        descending order of their bits is the lexicographic order of their
+        index tuples.
+        """
+        count = len(masks)
+        limit = min(cap, count)
+        if limit < 2:
+            return []
+        by_bit = masks[::-1]
+        touching = [0] * count
+        for p, mask in enumerate(by_bit):
+            halo = (mask << 1) | (mask >> 1) | (mask << stride) | (mask >> stride)
+            for q in range(p + 1, count):
+                if halo & by_bit[q]:
+                    touching[p] |= 1 << q
+                    touching[q] |= 1 << p
+        # ESU, one size at a time: a set's root is its highest bit (its
+        # smallest index), and it grows only by lower bits (larger indices).
+        level = []
+        for p in range(count):
+            below = (1 << p) - 1
+            level.append(
+                (1 << p, by_bit[p], touching[p] & below, touching[p] | 1 << p, below)
+            )
+        subsets: list[tuple[int, int]] = []
+        for _ in range(2, limit + 1):
+            following = []
+            for bits, union, extension, closed, below in level:
+                while extension:
+                    low = extension & -extension
+                    extension ^= low
+                    p = low.bit_length() - 1
+                    near = touching[p]
+                    following.append(
+                        (
+                            bits | low,
+                            union | by_bit[p],
+                            extension | (near & below & ~closed),
+                            closed | near,
+                            below,
+                        )
+                    )
+            following.sort(key=itemgetter(0), reverse=True)
+            subsets += [(bits, union) for bits, union, *_ in following]
+            level = following
         return subsets
 
-    def _cells(self, offsets: tuple[Cell, ...]) -> list[set[Cell]]:
-        """Each piece's cells in the state, in piece-index order."""
-        return [
-            {(x + ox, y + oy) for x, y in base}
-            for base, (ox, oy) in zip(self.base_cells, offsets)
-        ]
-
     def _move_sets(
-        self, cells: list[set[Cell]], mode: str, cap: int
-    ) -> list[tuple[int, ...]]:
-        """Piece-index sets that may move: singles, then contact subsets."""
-        combos: list[tuple[int, ...]] = [(i,) for i in range(len(cells))]
-        if mode == SUBSET_MOVE:
-            combos.extend(self._contact_subsets(cells, cap))
-        return combos
+        self, masks: list[int], stride: int, mode: str, cap: int
+    ) -> list[tuple[int, int]]:
+        """(set bits, union mask) of the sets that may move.
+
+        Single pieces first, then (subset mode) the contact subsets; piece
+        i is bit count - 1 - i.
+        """
+        top = len(masks) - 1
+        singles = [(1 << top - i, mask) for i, mask in enumerate(masks)]
+        if mode != SUBSET_MOVE:
+            return singles
+        return singles + self._contact_subsets(masks, stride, cap)
 
     def unit_moves(
         self, offsets: tuple[Cell, ...], mode: str, cap: int
     ) -> Iterator[tuple[frozenset[str], Direction, tuple[Cell, ...]]]:
-        cells = self._cells(offsets)
-        occupied = set().union(*cells)
-        for combo in self._move_sets(cells, mode, cap):
-            moving = set().union(*(cells[i] for i in combo))
-            others = occupied - moving
-            for direction in DIRECTIONS:
-                dx, dy = direction.dx, direction.dy
-                if any((x + dx, y + dy) in others for x, y in moving):
+        masks, (stride, _, _) = self._layout(offsets)
+        occupied = 0
+        for mask in masks:
+            occupied |= mask
+        for bits, moving in self._move_sets(masks, stride, mode, cap):
+            others = occupied ^ moving
+            hits = (
+                (moving << 1) & others,
+                (moving >> 1) & others,
+                (moving << stride) & others,
+                (moving >> stride) & others,
+            )
+            if all(hits):
+                continue
+            combo = None
+            for direction, hit in zip(DIRECTIONS, hits):
+                if hit:
                     continue
-                moved = tuple(
-                    (ox + dx, oy + dy) if i in combo else (ox, oy)
-                    for i, (ox, oy) in enumerate(offsets)
-                )
-                yield frozenset(self.ids[i] for i in combo), direction, moved
+                if combo is None:
+                    combo = _piece_indices(bits, len(masks))
+                    names = frozenset(self.ids[i] for i in combo)
+                dx, dy = direction.dx, direction.dy
+                if len(combo) == 1:
+                    i = combo[0]
+                    ox, oy = offsets[i]
+                    moved = offsets[:i] + ((ox + dx, oy + dy),) + offsets[i + 1:]
+                else:
+                    moved = tuple(
+                        (ox + dx, oy + dy) if i in combo else (ox, oy)
+                        for i, (ox, oy) in enumerate(offsets)
+                    )
+                yield names, direction, moved
 
     def escape_at(
         self, offsets: tuple[Cell, ...], mode: str, cap: int
     ) -> tuple[frozenset[str], Direction] | None:
         """First piece set whose slide to infinity clears everything else."""
-        cells = self._cells(offsets)
-        by_index = dict(enumerate(cells))
-        lanes = {axis: Lanes(by_index, axis) for axis in ("x", "y")}
-        for combo in self._move_sets(cells, mode, cap):
-            if len(combo) == len(self.ids) > 1:
+        masks, geometry = self._layout(offsets)
+        occupied = 0
+        for mask in masks:
+            occupied |= mask
+        # the whole system drifting away is no escape (unless it is one piece)
+        whole = (1 << len(masks)) - 1 if len(masks) > 1 else 0
+        for bits, moving in self._move_sets(masks, geometry[0], mode, cap):
+            if bits == whole:
                 continue
+            others = occupied ^ moving
             for direction in DIRECTIONS:
-                if not lanes[direction.axis].blockers(combo, direction.sign):
+                if not _slide_blocked(moving, others, direction, geometry):
+                    combo = _piece_indices(bits, len(masks))
                     return frozenset(self.ids[i] for i in combo), direction
         return None
 

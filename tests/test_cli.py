@@ -1,10 +1,12 @@
 """Exit codes and output of every subcommand, run in process."""
 
+import time
 import xml.dom.minidom
 
 import pytest
 
 from polylock.cli import main
+from polylock.search import MAX_ARENA_CELLS
 from polylock.formats import emit_grid, emit_structured
 from polylock.instances import (
     clasped_c_pair,
@@ -87,6 +89,36 @@ def test_solve_budget_exhaustion_exits_three(write, capsys):
     assert "budget-exhausted" in capsys.readouterr().out
 
 
+def test_solve_refuses_an_arena_over_the_cap(write, capsys):
+    # two touching dominoes and one far away: a 100008 x 100007 arena
+    path = write(
+        "far.cfg",
+        "polylock-config v1\n"
+        "piece A: (0,0) (1,0)\n"
+        "piece B: (0,1) (1,1)\n"
+        "piece C: (100000,100000) (100001,100000)\n",
+    )
+    started = time.perf_counter()
+    code = main(["solve", path, "--mode", "subset"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"cap of {MAX_ARENA_CELLS} cells" in captured.err
+    assert "Traceback" not in captured.err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", ["solve", "key"])
+def test_search_help_states_the_caps(command, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"an arena over {MAX_ARENA_CELLS} cells is refused with exit 1" in text
+    assert "after this many states (default 1000000)" in text
+
+
 def test_key_uses_the_files_key_line(write, capsys):
     path = write("tray.cfg", emit_structured(tray_with_key(), key_piece="K"))
     assert main(["key", path, "--dx", "3", "--dy", "3", "--radius", "2"]) == 0
@@ -141,6 +173,34 @@ def test_lemma_corridor_infeasible_exits_one(capsys):
     code = main(["lemma", "corridor", "--w", "2", "--h", "1", "--gap", "0.9"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_lemma_extent_refuses_a_length_beyond_the_float_range(capsys):
+    code = main(["lemma", "extent", "--w", "1e400", "--h", "1", "--beta", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "w must be at most 1e300" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_lemma_corridor_refuses_a_gap_beyond_the_float_range(capsys):
+    code = main(["lemma", "corridor", "--w", "1", "--h", "1", "--gap", "1e400"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "corridor_gap must be at most 1e300" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_lemma_corridor_decides_a_height_below_the_float_range(capsys):
+    # h is positive but rounds to 0.0 as a float; the decision is exact
+    code = main(["lemma", "corridor", "--w", "1", "--h", "1e-400", "--gap", "1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    lines = captured.out.splitlines()
+    assert lines[0] == "pinned: no"
+    witness = float(lines[1].removeprefix("witness beta: "))
+    assert 0 < witness <= 1.5707963267948966
+    assert captured.err == ""
 
 
 def test_lemma_chain(capsys):

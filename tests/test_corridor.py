@@ -16,6 +16,7 @@ from polylock.corridor import (
     ChainReport,
     CorridorScene,
     InfeasibleSceneError,
+    MAX_LENGTH,
     PinningReport,
     RectChainScene,
     chain_hypotheses_hold,
@@ -104,6 +105,25 @@ class TestCorridorPinsHorizontally:
         )
         assert not report.pinned
         assert report.witness_beta == math.atan2(2, 1)
+
+    def test_lengths_beyond_the_float_range_are_refused(self):
+        huge = Fraction(10) ** 400
+        with pytest.raises(ValueError, match="at most 1e300"):
+            rotated_vertical_extent(huge, 1, 0.1)
+        with pytest.raises(ValueError, match="at most 1e300"):
+            CorridorScene(rect_width=1, rect_height=1, corridor_gap=huge)
+        assert rotated_vertical_extent(MAX_LENGTH, 1, 0.1) < math.inf
+
+    def test_height_below_the_float_range_is_decided_exactly(self):
+        tiny = Fraction(1, 10**400)
+        loose = corridor_pins_horizontally(
+            CorridorScene(rect_width=1, rect_height=tiny, corridor_gap=1)
+        )
+        assert not loose.pinned and loose.witness_beta > 0
+        snug = corridor_pins_horizontally(
+            CorridorScene(rect_width=1, rect_height=tiny, corridor_gap=tiny)
+        )
+        assert snug == PinningReport(pinned=True, derivative_at_zero=1.0)
 
     def test_too_narrow_gap_is_infeasible(self):
         with pytest.raises(InfeasibleSceneError):

@@ -539,17 +539,76 @@ class TestPlainBfsOracle:
             assert answer.states_explored <= states
 
 
-def _pairwise_escape_at(engine, offsets, mode, cap):
-    """`escape_at` as it was: sweep each move set against all other cells."""
-    cells = [
+def _state_cells(engine, offsets):
+    """Each piece's cells in the state, in piece-index order."""
+    return [
         {(x + ox, y + oy) for x, y in base}
         for base, (ox, oy) in zip(engine.base_cells, offsets)
     ]
-    occupied = set().union(*cells)
+
+
+def _combination_contact_subsets(cells, cap):
+    """Contact subsets as the engine built them before its bitboards.
+
+    Every index combination of 2..cap pieces, in `itertools.combinations`
+    order, kept when its pieces' contact graph connects it.
+    """
+    count = len(cells)
+    touching = [set() for _ in range(count)]
+    for a, b in itertools.combinations(range(count), 2):
+        expanded = {
+            (x + dx, y + dy)
+            for x, y in cells[a]
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+        }
+        if expanded & cells[b]:
+            touching[a].add(b)
+            touching[b].add(a)
+    subsets = []
+    for size in range(2, min(cap, count) + 1):
+        for combo in itertools.combinations(range(count), size):
+            chosen = set(combo)
+            seen = {combo[0]}
+            queue = [combo[0]]
+            while queue:
+                for nxt in touching[queue.pop()] & chosen - seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+            if len(seen) == size:
+                subsets.append(combo)
+    return subsets
+
+
+def _cell_move_sets(cells, mode, cap):
     combos = [(i,) for i in range(len(cells))]
     if mode == SUBSET_MOVE:
-        combos.extend(engine._contact_subsets(cells, cap))
-    for combo in combos:
+        combos.extend(_combination_contact_subsets(cells, cap))
+    return combos
+
+
+def _cell_set_unit_moves(engine, offsets, mode, cap):
+    """`unit_moves` as it was: one cell set per piece, step tested per cell."""
+    cells = _state_cells(engine, offsets)
+    occupied = set().union(*cells)
+    for combo in _cell_move_sets(cells, mode, cap):
+        moving = set().union(*(cells[i] for i in combo))
+        others = occupied - moving
+        for direction in DIRECTIONS:
+            dx, dy = direction.dx, direction.dy
+            if any((x + dx, y + dy) in others for x, y in moving):
+                continue
+            moved = tuple(
+                (ox + dx, oy + dy) if i in combo else (ox, oy)
+                for i, (ox, oy) in enumerate(offsets)
+            )
+            yield frozenset(engine.ids[i] for i in combo), direction, moved
+
+
+def _pairwise_escape_at(engine, offsets, mode, cap):
+    """`escape_at` as it was: sweep each move set against all other cells."""
+    cells = _state_cells(engine, offsets)
+    occupied = set().union(*cells)
+    for combo in _cell_move_sets(cells, mode, cap):
         if len(combo) == len(engine.ids) > 1:
             continue
         moving = set().union(*(cells[i] for i in combo))
@@ -619,6 +678,138 @@ class TestEscapeAtOracle:
         assert any(got and got[0] != {first} for got, first in results)
         if mode == SUBSET_MOVE:
             assert any(got and len(got[0]) > 1 for got, _ in results)
+
+
+def _engine_subsets(engine, offsets, cap):
+    """The engine's contact subsets as index tuples; checks each union mask."""
+    masks, (stride, _, _) = engine._layout(offsets)
+    subsets = []
+    for bits, union in engine._contact_subsets(masks, stride, cap):
+        # piece i is bit count - 1 - i
+        combo = tuple(i for i in range(len(masks)) if bits >> len(masks) - 1 - i & 1)
+        expected = 0
+        for i in combo:
+            expected |= masks[i]
+        assert union == expected
+        subsets.append(combo)
+    return subsets
+
+
+def _check_against_cell_sets(engine, offsets, mode, cap):
+    """Move sets, unit moves and escapes agree with the cell-set oracles."""
+    cells = _state_cells(engine, offsets)
+    if mode == SUBSET_MOVE:
+        assert _engine_subsets(engine, offsets, cap) == (
+            _combination_contact_subsets(cells, cap)
+        )
+    assert list(engine.unit_moves(offsets, mode, cap)) == list(
+        _cell_set_unit_moves(engine, offsets, mode, cap)
+    )
+    assert engine.escape_at(offsets, mode, cap) == _pairwise_escape_at(
+        engine, offsets, mode, cap
+    )
+
+
+class TestBitboardOracle:
+    """The bitboard engine against the cell-set code it replaced.
+
+    The engines are built at radius 0, so most states a step or two from
+    the start lie outside the arena; the per-state layout must read them
+    exactly all the same.
+    """
+
+    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
+    @given(
+        seed=st.integers(0, 10_000),
+        side=st.integers(2, 6),
+        density=st.sampled_from([0.5, 0.8, 1.0]),
+        cap=st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_near_start_states_match(self, mode, seed, side, density, cap):
+        spec = PackingSpec(
+            width=side, height=side, max_pieces=8, max_cells=5, target_density=density
+        )
+        config = random_packing(seed, spec)
+        assume(config.placements)
+        engine = _Engine(config, radius=0)
+        for offsets in _states_near_start(engine, mode, steps=2):
+            _check_against_cell_sets(engine, offsets, mode, cap)
+
+    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
+    @given(
+        seed=st.integers(0, 10_000),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_unit_moves_match_on_any_offsets(self, mode, seed, data):
+        # overlapping pieces included: both sides read `occupied - moving`
+        spec = PackingSpec(width=5, height=5, max_pieces=6, max_cells=4)
+        config = random_packing(seed, spec)
+        assume(config.placements)
+        engine = _Engine(config, radius=0)
+        offsets = tuple(
+            data.draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+            for _ in engine.ids
+        )
+        cap = data.draw(st.integers(1, 4))
+        assert list(engine.unit_moves(offsets, mode, cap)) == list(
+            _cell_set_unit_moves(engine, offsets, mode, cap)
+        )
+
+    @pytest.mark.parametrize("cap", [1, 2, DEFAULT_SUBSET_CAP])
+    def test_tray_with_key_matches(self, cap):
+        # the frame touches every tile, so the contact graph is dense
+        engine = _Engine(tray_with_key(), radius=0)
+        states = _states_near_start(engine, SUBSET_MOVE, steps=2)
+        assert len(states) > 1
+        sizes = set()
+        for offsets in states:
+            _check_against_cell_sets(engine, offsets, SUBSET_MOVE, cap)
+            sizes.update(map(len, _engine_subsets(engine, offsets, cap)))
+        assert sizes == set(range(2, cap + 1))
+
+    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
+    def test_named_instances_match_outside_the_arena(self, mode):
+        outside = 0
+        for config in (
+            case4_group(), keyhole_pair(), mutual_u_pair(), pinwheel(), z_chain(4)
+        ):
+            engine = _Engine(config, radius=0)
+            for offsets in _states_near_start(engine, mode, steps=3):
+                outside += not engine.in_arena(offsets)
+                _check_against_cell_sets(engine, offsets, mode, DEFAULT_SUBSET_CAP)
+        assert outside > 0
+
+
+def _framed_tray(side, hole):
+    """A side x side block of unit tiles in a square frame, one cell empty."""
+    frame = [
+        (x, y)
+        for x in range(side + 2)
+        for y in range(side + 2)
+        if x in (0, side + 1) or y in (0, side + 1)
+    ]
+    interior = [(x, y) for y in range(1, side + 1) for x in range(1, side + 1)]
+    tiles = {f"T{i:02d}": [cell] for i, cell in enumerate(c for c in interior if c != hole)}
+    return _config(F=frame, **tiles)
+
+
+class TestStateCounts:
+    """Exact counts that pin the BFS order; they repeat on every run."""
+
+    def test_framed_8x8_tray_is_locked_after_64_states(self):
+        verdict = escape_search(_framed_tray(8, (8, 8)), SearchBudget())
+        assert verdict.outcome == "locked-within-budget"
+        assert verdict.states_explored == 64
+
+    def test_subset_tray_key_search_reaches_after_226_states(self):
+        config = tray_with_key()
+        budget = SearchBudget(radius=2, max_states=300, mode=SUBSET_MOVE)
+        answer = key_piece_reachable(config, "K", (3, 3), budget)
+        assert answer.outcome == "reachable"
+        assert answer.states_explored == 226
+        assert replay_trace(config, answer.trace).cells_of("K") == frozenset({(4, 4)})
 
 
 class TestPlannerAgreement:
