@@ -12,13 +12,18 @@ adds to the shape, together with the one open side it keeps toward the
 outside. The U-pentomino is the only pentomino that has one. Monotonicity
 and pockets both read the one fill rule, `_fill_cells`; `pockets` asks
 `grid.Lanes` which side of a component no shape cell blocks.
+
+`u_pocket` is the one U detector. It looks a placed piece up in a table,
+built once at import, of the U's four normalised orientations, each with
+its pocket cell and opening, so it builds no shape per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import Cell, Direction, Lanes, Polyomino, canonical_free_form, neighbors
+from .grid import Cell, Direction, Lanes, Polyomino, neighbors
+from .grid import canonical_free_form, fixed_orientations
 
 
 class EnclosedHoleError(ValueError):
@@ -130,18 +135,30 @@ U_PENTOMINO = canonical_free_form(
 )
 
 
+def _u_pocket_table() -> dict[frozenset[Cell], tuple[Cell, Direction]]:
+    """Each normalised orientation of the U, with its pocket cell and opening."""
+    table = {}
+    for shape in fixed_orientations(U_PENTOMINO):
+        (pocket,) = pockets(shape, "x") + pockets(shape, "y")
+        (cell,) = pocket.cells
+        table[shape.cells] = (cell, pocket.opening)
+    return table
+
+
+_U_POCKETS = _u_pocket_table()
+
+
 def u_pocket(cells: frozenset[Cell]) -> tuple[Cell, Direction] | None:
     """Pocket cell and world opening of a placed U-pentomino, else None."""
     if len(cells) != 5:
         return None
-    shape = Polyomino(cells)
-    if canonical_free_form(shape) != U_PENTOMINO:
+    min_x = min(x for x, _ in cells)
+    min_y = min(y for _, y in cells)
+    found = _U_POCKETS.get(frozenset((x - min_x, y - min_y) for x, y in cells))
+    if found is None:
         return None
-    for axis in ("x", "y"):
-        for pocket in pockets(shape, axis):
-            (cell,) = pocket.cells
-            return cell, pocket.opening
-    raise AssertionError("a U-pentomino always has exactly one pocket")
+    (x, y), opening = found
+    return (x + min_x, y + min_y), opening
 
 
 def monotone_closure(cells: frozenset[Cell], axis: str) -> frozenset[Cell]:

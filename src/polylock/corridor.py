@@ -11,13 +11,15 @@ feasible or not, bound met or not) compare exact rationals, so a fit
 that is snug in the input data is never misread through rounding. Floats
 carry only the printed measurements and witnesses, so every length is
 capped at `MAX_LENGTH`, which keeps them finite. A positive length too
-small for a float is still valid: it is decided exactly and measured as
-0.0.
+small for a float is still valid: it is decided exactly, the printed
+derivative measures it as 0.0, and the witness search then measures every
+length of the scene in units of the largest one.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,12 +158,22 @@ def _extent(w: float, h: float, angle: float) -> float:
     return h * math.cos(angle) + w * math.sin(angle)
 
 
+def _measured(*lengths: Number) -> list[float]:
+    """The lengths as floats; if one would underflow, all are first divided
+    by the power of two of the largest, which leaves the extent's angles."""
+    if min(map(float, lengths)) >= sys.float_info.min:
+        return [float(length) for length in lengths]
+    top = max(map(Fraction, lengths))
+    scale = Fraction(2) ** (top.numerator.bit_length() - top.denominator.bit_length())
+    return [float(Fraction(length) / scale) for length in lengths]
+
+
 def corridor_pins_horizontally(scene: CorridorScene) -> PinningReport:
     """Is the rectangle unable to rotate or shift vertically in the gap?
 
     True exactly when the fit is snug (gap equals height, compared as
-    rationals). A wider gap is answered with a witness rotation found by
-    bisection on the rising branch of the extent.
+    rationals). A wider gap is answered with a witness rotation: pi/4 when
+    w is negligible, else one found by bisection on the extent's rising branch.
     """
     gap = Fraction(scene.corridor_gap)
     height = Fraction(scene.rect_height)
@@ -175,10 +187,12 @@ def corridor_pins_horizontally(scene: CorridorScene) -> PinningReport:
             pinned=True, derivative_at_zero=float(scene.rect_width)
         )
 
-    w = float(scene.rect_width)
-    h = float(scene.rect_height)
-    target = float(scene.corridor_gap)
+    w, h, target = _measured(
+        scene.rect_width, scene.rect_height, scene.corridor_gap
+    )
     peak = math.atan2(w, h)
+    if peak == 0.0:  # w is negligible: (h + w) / sqrt(2) is below the gap
+        return PinningReport(pinned=False, witness_beta=math.pi / 4)
     if _extent(w, h, peak) <= target:
         return PinningReport(pinned=False, witness_beta=peak)
     low, high = 0.0, peak

@@ -12,10 +12,13 @@ members cannot leave one by one slide out whole in the peel direction; its
 union is row-contiguous, so it moves like one well-behaved shape. Plans are
 never trusted: `simulate_plan` replays them move by move.
 
-Every slide query here is answered by `grid.Lanes`, one index per axis;
-its docstring states the exact lane rule. Pieces only ever leave the
-board, so the index is built once and pieces are removed from it as they
-go. `group_le5` finds the piece in a U's pocket with `Configuration.owner`.
+The layer works on world cells and piece ids only: a group is the frozenset
+of its members' ids, and no shape object is built for it. Every slide query
+here is answered by `grid.Lanes`, one index per axis; its docstring states
+the exact lane rule. Pieces only ever leave the board, so the index is
+built once and pieces are removed from it as they go. `group_le5` finds
+U pockets with `classify.u_pocket` and the piece in one with
+`Configuration.owner`.
 """
 
 from __future__ import annotations
@@ -25,16 +28,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .classify import is_monotone, monotone_closure, u_pocket
-from .grid import (
-    DIRECTIONS,
-    Cell,
-    Configuration,
-    Direction,
-    Lanes,
-    Polyomino,
-    canonicalize,
-)
+from .classify import monotone_closure, u_pocket
+from .grid import DIRECTIONS, Cell, Configuration, Direction, Lanes
 
 #: Largest piece size the grouping planner accepts.
 GROUPABLE_MAX_CELLS = 5
@@ -71,15 +66,6 @@ class BlockingGraph:
     direction: Direction
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
-
-
-@dataclass(frozen=True)
-class Group:
-    """Pieces bundled so their union slides like one well-behaved shape."""
-
-    member_ids: frozenset[str]
-    union_shape: Polyomino
-    internal_axis: str | None = None
 
 
 @dataclass(frozen=True)
@@ -254,14 +240,15 @@ def simulate_plan(config: Configuration, plan: SeparationPlan) -> SimulationRepo
     return SimulationReport(valid=not leftover, leftover=leftover)
 
 
-def group_le5(config: Configuration) -> list[Group]:
+def group_le5(config: Configuration) -> list[frozenset[str]]:
     """Bundle vertically opening U-pentominoes with their pocket fillers.
 
-    Every other piece stays a singleton. The union of each multi-piece
-    group must come out row-contiguous and groups never exceed three
-    members; either failing is an invariant violation, not a planning
-    failure. An empty-pocket vertical U passes the row check as its filled
-    2x3 closure.
+    A group is the set of its members' piece ids, and every other piece
+    stays a singleton; groups come sorted by their smallest id. The union
+    of each group's cells must come out row-contiguous and groups never
+    exceed three members; either failing is an invariant violation, not a
+    planning failure. An empty-pocket vertical U is exempt from the row
+    check, since its filled 2x3 closure always passes it.
     """
     for placement in config.placements:
         if len(placement.shape) > GROUPABLE_MAX_CELLS:
@@ -275,55 +262,39 @@ def group_le5(config: Configuration) -> list[Group]:
             pid = parent[pid]
         return pid
 
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    vertical_us: dict[str, Cell] = {}
+    vertical_us: set[str] = set()
     for placement in config.placements:
         found = u_pocket(placement.cells)
         if found is not None and found[1].axis == "y":
-            vertical_us[placement.piece_id] = found[0]
-    for pid, pocket in vertical_us.items():
-        occupant = config.owner(pocket)
-        if occupant is not None:
-            union(pid, occupant)
+            vertical_us.add(placement.piece_id)
+            occupant = config.owner(found[0])
+            if occupant is not None:
+                roots = find(placement.piece_id), find(occupant)
+                parent[max(roots)] = min(roots)
 
     members_by_root: dict[str, list[str]] = {}
     for pid in config.piece_ids():
         members_by_root.setdefault(find(pid), []).append(pid)
 
-    groups: list[Group] = []
+    groups: list[frozenset[str]] = []
     for members in members_by_root.values():
-        union_cells = frozenset(
-            cell for pid in members for cell in config.cells_of(pid)
-        )
         if len(members) > 3:
             raise InvariantViolationError(
                 f"group {sorted(members)} has more than three members"
             )
-        if len(members) == 1 and members[0] in vertical_us:
-            check_cells = monotone_closure(union_cells, "y")
-        else:
-            check_cells = union_cells
-        if not is_monotone(Polyomino(check_cells), "y"):
-            raise InvariantViolationError(
-                f"group {sorted(members)} union is not row-contiguous"
-            )
-        groups.append(
-            Group(
-                member_ids=frozenset(members),
-                union_shape=canonicalize(Polyomino(union_cells)),
-                internal_axis="y" if len(members) > 1 else None,
-            )
-        )
-    groups.sort(key=lambda g: min(g.member_ids))
+        if len(members) > 1 or members[0] not in vertical_us:
+            cells = frozenset().union(*map(config.cells_of, members))
+            if monotone_closure(cells, "y") != cells:
+                raise InvariantViolationError(
+                    f"group {sorted(members)} union is not row-contiguous"
+                )
+        groups.append(frozenset(members))
+    groups.sort(key=min)
     return groups
 
 
 def _exit_preferences(
-    board: Configuration, group: Group
+    board: Configuration, group: frozenset[str]
 ) -> tuple[list[str], dict[str, tuple[Direction, Direction]]]:
     """Member order and per-member direction order for in-group exits.
 
@@ -333,18 +304,18 @@ def _exit_preferences(
     """
     openings = {}
     pocket_of: dict[str, Cell] = {}
-    for pid in group.member_ids:
+    for pid in group:
         found = u_pocket(board.cells_of(pid))
         if found is not None and found[1].axis == "y":
             pocket_of[pid], openings[pid] = found
-    for pid in sorted(group.member_ids):
+    for pid in sorted(group):
         if pid in openings:
             continue
         cells = board.cells_of(pid)
         hosts = sorted(u for u, pocket in pocket_of.items() if pocket in cells)
         if hosts:
             openings[pid] = openings[hosts[0]]
-    ordered = sorted(group.member_ids, key=lambda pid: (pid in pocket_of, pid))
+    ordered = sorted(group, key=lambda pid: (pid in pocket_of, pid))
     prefs = {}
     for pid in ordered:
         first = openings.get(pid, Direction.POS_Y)
@@ -353,7 +324,7 @@ def _exit_preferences(
 
 
 def _member_exit_moves(
-    config: Configuration, lanes: dict[str, Lanes], group: Group
+    config: Configuration, lanes: dict[str, Lanes], group: frozenset[str]
 ) -> list[Move] | None:
     """Exit the group's members one by one along its internal axis.
 
@@ -380,7 +351,7 @@ def _member_exit_moves(
 def _group_exit(
     config: Configuration,
     lanes: dict[str, Lanes],
-    group: Group,
+    group: frozenset[str],
     direction: Direction,
     rigid: bool,
 ) -> list[Move] | None:
@@ -389,18 +360,18 @@ def _group_exit(
     With `rigid`, a multi-piece group whose members cannot leave one by one
     may still slide out whole in `direction`.
     """
-    blocked = lanes[direction.axis].blockers(group.member_ids, direction.sign)
-    if len(group.member_ids) == 1:
-        return None if blocked else [Move(group.member_ids, direction)]
+    blocked = lanes[direction.axis].blockers(group, direction.sign)
+    if len(group) == 1:
+        return None if blocked else [Move(group, direction)]
     moves = _member_exit_moves(config, lanes, group)
     if moves is None and rigid and not blocked:
-        return [Move(group.member_ids, direction)]
+        return [Move(group, direction)]
     return moves
 
 
 def _peel_groups(
     config: Configuration,
-    groups: Sequence[Group],
+    groups: Sequence[frozenset[str]],
     direction: Direction,
     rigid: bool,
 ) -> SeparationPlan | None:
@@ -417,8 +388,8 @@ def _peel_groups(
     pending = sorted(
         groups,
         key=lambda g: (
-            -_extreme((cell for pid in g.member_ids for cell in cells[pid]), direction),
-            min(g.member_ids),
+            -_extreme((cell for pid in g for cell in cells[pid]), direction),
+            min(g),
         ),
     )
     moves: list[Move] = []
@@ -431,7 +402,7 @@ def _peel_groups(
             return None
         moves.extend(exit_moves)
         for axis_lanes in lanes.values():
-            axis_lanes.remove(group.member_ids)
+            axis_lanes.remove(group)
         del pending[position]
     return SeparationPlan(tuple(moves))
 
@@ -464,7 +435,6 @@ def separate_le5(config: Configuration) -> SeparationPlan:
 __all__ = [
     "BlockingGraph",
     "GROUPABLE_MAX_CELLS",
-    "Group",
     "InvariantViolationError",
     "Move",
     "NoUto",

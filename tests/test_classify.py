@@ -22,6 +22,7 @@ from polylock.grid import (
     Polyomino,
     canonical_free_form,
     enumerate_free,
+    fixed_orientations,
     neighbors,
     sweep_collides,
 )
@@ -348,3 +349,36 @@ def test_u_pocket_cells_helper():
     cell, opening = result
     assert cell == (3, 6)
     assert opening is Direction.POS_Y
+
+
+def _reference_u_pocket(cells):
+    """The detector the orientation table replaced: congruence, then pockets."""
+    if len(cells) != 5:
+        return None
+    shape = Polyomino(cells)
+    if canonical_free_form(shape) != U_PENTOMINO:
+        return None
+    for axis in ("x", "y"):
+        for pocket in pockets(shape, axis):
+            (cell,) = pocket.cells
+            return cell, pocket.opening
+    raise AssertionError("a U-pentomino always has exactly one pocket")
+
+
+def test_u_pocket_matches_the_reference_on_every_small_placed_shape():
+    placed = [
+        frozenset((x + dx, y + dy) for x, y in oriented.cells)
+        for n in range(1, 7)
+        for free in enumerate_free(n)
+        for oriented in fixed_orientations(free)
+        for dx, dy in ((0, 0), (-3, 2), (7, -5))
+    ]
+    assert len(placed) == 921
+    hits = []
+    for cells in placed:
+        found = u_pocket(cells)
+        assert found == _reference_u_pocket(cells)
+        if found is not None:
+            hits.append(found)
+    assert len(hits) == 12
+    assert {opening for _, opening in hits} == set(Direction)

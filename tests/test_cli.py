@@ -253,3 +253,20 @@ def test_bad_direction_token_exits_one(write, capsys):
     path = write("chain.cfg", emit_structured(z_chain(2)))
     assert main(["deps", path, "--piece", "Z0", "--dir=+z"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_lemma_corridor_gives_a_positive_witness_for_a_width_below_the_float_range(
+    capsys,
+):
+    # w is positive but rounds to 0.0 as a float
+    code = main(["lemma", "corridor", "--w", "1e-400", "--h", "1", "--gap", "1.5"])
+    captured = capsys.readouterr()
+    assert code == 0
+    lines = captured.out.splitlines()
+    assert lines[0] == "pinned: no"
+    witness = float(lines[1].removeprefix("witness beta: "))
+    assert 0 < witness < 1.5707963267948966
+    assert captured.err == ""
+    beta = lines[1].removeprefix("witness beta: ")
+    assert main(["lemma", "extent", "--w", "1e-400", "--h", "1", "--beta", beta]) == 0
+    assert float(capsys.readouterr().out.removeprefix("extent: ")) <= 1.5

@@ -125,6 +125,23 @@ class TestCorridorPinsHorizontally:
         )
         assert snug == PinningReport(pinned=True, derivative_at_zero=1.0)
 
+    def test_width_below_the_float_range_yields_a_positive_witness(self):
+        tiny = Fraction(1, 10**400)
+        report = corridor_pins_horizontally(
+            CorridorScene(rect_width=tiny, rect_height=1, corridor_gap=1.5)
+        )
+        assert not report.pinned
+        assert 0 < report.witness_beta < math.pi / 2
+        assert rotated_vertical_extent(tiny, 1, report.witness_beta) <= 1.5
+        # all three lengths below the float range: the witness still fits
+        # exactly, (cos + sin) of it stays within gap / height = 1.1
+        gap = tiny * Fraction(11, 10)
+        report = corridor_pins_horizontally(
+            CorridorScene(rect_width=tiny, rect_height=tiny, corridor_gap=gap)
+        )
+        beta = report.witness_beta
+        assert 0 < beta and math.cos(beta) + math.sin(beta) <= 1.1
+
     def test_too_narrow_gap_is_infeasible(self):
         with pytest.raises(InfeasibleSceneError):
             corridor_pins_horizontally(

@@ -16,7 +16,7 @@ from polylock.formats import (
     parse_grid,
     parse_structured,
 )
-from polylock.grid import Configuration
+from polylock.grid import Configuration, Polyomino, is_connected
 from polylock.instances import pinwheel, tray_with_key, u_filler_example
 from polylock.packing import PackingSpec, random_packing
 
@@ -215,3 +215,43 @@ class TestAutoDetect:
             for cells in _cell_sets(via_structured)
         ]
         assert _cell_sets(via_grid) == sorted(anchored, key=sorted)
+
+
+class TestDisconnectedCells:
+    """Every public entry refuses a disconnected piece the same way."""
+
+    disconnected = st.sets(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=7
+    ).filter(lambda cells: not is_connected(cells))
+
+    @given(disconnected)
+    @settings(max_examples=30, deadline=None)
+    def test_constructors_raise_value_error(self, cells):
+        for build in (
+            lambda: Polyomino(frozenset(cells)),
+            lambda: Polyomino.from_cells(cells),
+            lambda: Configuration.from_cell_map({"A": cells, "B": [(9, 9)]}),
+        ):
+            with pytest.raises(ValueError, match="cells are not edge-connected"):
+                build()
+
+    @given(disconnected, st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_parsers_name_the_pieces_first_line(self, cells, lines_above):
+        # `lines_above` rows of a connected column piece B sit above piece A
+        top = max(y for _, y in cells)
+        grid = ["B"] * lines_above + [
+            "".join("A" if (x, y) in cells else "." for x in range(5))
+            for y in range(top, -1, -1)
+        ]
+        with pytest.raises(ParseError, match="'A' is not connected") as err:
+            parse_document("\n".join(grid) + "\n")
+        assert err.value.line_number == lines_above + 1
+
+        structured = [STRUCTURED_HEADER, "# filler pieces first"]
+        structured += [f"piece B{i}: ({i},-9)" for i in range(lines_above)]
+        structured.append("piece A: " + " ".join(f"({x},{y})" for x, y in cells))
+        with pytest.raises(ParseError, match="'A' is not connected") as err:
+            parse_document("\n".join(structured) + "\n")
+        assert err.value.line_number == lines_above + 3
+

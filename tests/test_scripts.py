@@ -1,0 +1,48 @@
+"""The scripts under scripts/ still run against the current package API."""
+
+import os
+import subprocess
+import sys
+import xml.dom.minidom
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_render_gallery_writes_every_drawing(tmp_path):
+    result = _run(
+        "scripts/render_gallery.py", "--out-dir", str(tmp_path), "--seeds", "0"
+    )
+    assert result.returncode == 0, result.stderr
+    expected = {
+        "clasped_c_pair",
+        "keyhole_pair",
+        "pinwheel",
+        "tray_with_key",
+        "z_chain",
+        "u_filler_plan",
+        "u_filler_pockets",
+        "packing_0000",
+    }
+    assert {path.stem for path in tmp_path.glob("*.svg")} == expected
+    for path in tmp_path.glob("*.svg"):
+        document = xml.dom.minidom.parse(str(path))
+        assert document.documentElement.tagName == "svg"
+
+
+def test_find_pinwheel_help_runs():
+    result = _run("scripts/find_pinwheel.py", "--help")
+    assert result.returncode == 0, result.stderr
+    assert "usage:" in result.stdout

@@ -328,6 +328,13 @@ def test_fully_convex_systems_peel_in_all_four_directions(seed):
 # ---------------------------------------------------------------- grouping
 
 
+def _row_contiguous_union(config, piece_ids):
+    union = Polyomino(
+        frozenset(cell for pid in piece_ids for cell in config.cells_of(pid))
+    )
+    return is_monotone(union, "y")
+
+
 def test_group_all_singletons_without_us():
     config = Configuration.from_cell_map(
         {
@@ -337,8 +344,8 @@ def test_group_all_singletons_without_us():
         }
     )
     groups = group_le5(config)
-    assert [sorted(g.member_ids) for g in groups] == [["A"], ["B"], ["C"]]
-    assert all(g.internal_axis is None for g in groups)
+    assert [sorted(g) for g in groups] == [["A"], ["B"], ["C"]]
+    assert all(_row_contiguous_union(config, g) for g in groups)
 
 
 def test_group_u_with_plus_shaped_filler():
@@ -351,16 +358,16 @@ def test_group_u_with_plus_shaped_filler():
     groups = group_le5(config)
     assert len(groups) == 1
     (group,) = groups
-    assert group.member_ids == frozenset({"P", "U"})
-    assert group.internal_axis == "y"
-    assert is_monotone(group.union_shape, "y")
+    assert group == frozenset({"P", "U"})
+    assert _row_contiguous_union(config, group)
 
 
 def test_group_case4_bundles_three_members():
-    groups = group_le5(case4_group())
+    config = case4_group()
+    groups = group_le5(config)
     assert len(groups) == 1
-    assert groups[0].member_ids == frozenset({"U1", "F", "U2"})
-    assert is_monotone(groups[0].union_shape, "y")
+    assert groups[0] == frozenset({"U1", "F", "U2"})
+    assert _row_contiguous_union(config, groups[0])
 
 
 def test_group_empty_pocket_u_stays_singleton():
@@ -371,14 +378,15 @@ def test_group_empty_pocket_u_stays_singleton():
         }
     )
     groups = group_le5(config)
-    assert [sorted(g.member_ids) for g in groups] == [["M"], ["U"]]
+    assert [sorted(g) for g in groups] == [["M"], ["U"]]
 
 
 def test_group_mutual_u_pair_forms_one_group():
-    groups = group_le5(mutual_u_pair())
+    config = mutual_u_pair()
+    groups = group_le5(config)
     assert len(groups) == 1
-    assert groups[0].member_ids == frozenset({"A", "B"})
-    assert is_monotone(groups[0].union_shape, "y")
+    assert groups[0] == frozenset({"A", "B"})
+    assert _row_contiguous_union(config, groups[0])
 
 
 def test_group_sideways_u_stays_singleton():
@@ -390,7 +398,7 @@ def test_group_sideways_u_stays_singleton():
         }
     )
     groups = group_le5(config)
-    assert [sorted(g.member_ids) for g in groups] == [["M"], ["U"]]
+    assert [sorted(g) for g in groups] == [["M"], ["U"]]
 
 
 def test_group_rejects_oversized_piece():
@@ -408,9 +416,9 @@ def test_group_rejects_oversized_piece():
 def test_group_output_partitions_the_pieces(seed):
     config = _random_config(seed, max_pieces=6, max_cells=5, span=8)
     groups = group_le5(config)
-    covered = [pid for g in groups for pid in g.member_ids]
+    covered = [pid for g in groups for pid in g]
     assert sorted(covered) == sorted(config.piece_ids())
-    assert all(len(g.member_ids) <= 3 for g in groups)
+    assert all(len(g) <= 3 for g in groups)
 
 
 # ---------------------------------------------------------------- separate
@@ -627,8 +635,8 @@ def _pairwise_blocked(board, pid, direction):
 
 
 def _pairwise_group_exit(board, group, direction):
-    if len(group.member_ids) == 1:
-        (pid,) = group.member_ids
+    if len(group) == 1:
+        (pid,) = group
         if _pairwise_blocked(board, pid, direction):
             return None
         return [Move(frozenset({pid}), direction)]
@@ -655,10 +663,10 @@ def _pairwise_peel_groups(config, groups, direction):
         pending.sort(
             key=lambda g: (
                 -_extreme(
-                    (cell for pid in g.member_ids for cell in board.cells_of(pid)),
+                    (cell for pid in g for cell in board.cells_of(pid)),
                     direction,
                 ),
-                min(g.member_ids),
+                min(g),
             )
         )
         for group in pending:
@@ -668,7 +676,7 @@ def _pairwise_peel_groups(config, groups, direction):
         else:
             return None
         moves.extend(exit_moves)
-        board = _without(board, group.member_ids)
+        board = _without(board, group)
         pending.remove(group)
     return SeparationPlan(tuple(moves))
 
@@ -778,7 +786,7 @@ def test_separate_le5_matches_the_pairwise_group_peel():
         expected = _pairwise_separate_le5(config)
         assert expected is not None
         assert separate_le5(config) == expected
-        grouped += any(len(g.member_ids) > 1 for g in group_le5(config))
+        grouped += any(len(g) > 1 for g in group_le5(config))
     for config in (u_filler_example(), mutual_u_pair(), case4_group()):
         assert separate_le5(config) == _pairwise_separate_le5(config)
     assert grouped
@@ -861,5 +869,5 @@ def test_separate_le5_lets_a_jammed_group_leave_whole(name):
     assert _covered(plan) == frozenset(config.piece_ids())
     rigid = [move for move in plan.moves if len(move.piece_ids) > 1]
     assert rigid
-    groups = {g.member_ids for g in group_le5(config)}
+    groups = set(group_le5(config))
     assert all(move.piece_ids in groups for move in rigid)
