@@ -22,7 +22,14 @@ from .corridor import (
     rotated_vertical_extent,
 )
 from .formats import ParsedDocument, emit_grid, parse_document
-from .grid import Configuration, Direction, Polyomino, enumerate_free
+from .grid import (
+    MAX_ENUMERATION_CELLS,
+    Configuration,
+    Direction,
+    Placement,
+    Polyomino,
+    enumerate_free,
+)
 from .search import (
     MAX_ARENA_CELLS,
     SINGLE_PIECE,
@@ -201,14 +208,14 @@ _FILTERS = {
 
 
 def _cmd_enumerate(args) -> int:
-    shapes = sorted(enumerate_free(args.n), key=lambda s: s.sorted_cells())
+    shapes = enumerate_free(args.n)
     if args.filter:
         keep = _FILTERS[args.filter]
         shapes = [shape for shape in shapes if keep(classify(shape))]
     print(len(shapes))
     for shape in shapes:
         print()
-        print(emit_grid(Configuration.from_cell_map({"A": shape.cells})), end="")
+        print(emit_grid(Configuration((Placement("A", shape),))), end="")
     return 0
 
 
@@ -228,6 +235,8 @@ def _cmd_lemma(args) -> int:
         print(f"pinned: {_yn(report.pinned)}")
         if report.pinned:
             print(f"derivative at 0: {report.derivative_at_zero}")
+        elif report.witness_beta is None:
+            print("witness beta: none (no positive float angle is certified to fit)")
         else:
             print(f"witness beta: {report.witness_beta}")
         return 0
@@ -341,7 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     enum_cmd = commands.add_parser(
         "enumerate", help="free shapes of a given size"
     )
-    enum_cmd.add_argument("-n", type=int, required=True)
+    enum_cmd.add_argument(
+        "-n",
+        type=int,
+        required=True,
+        help=(
+            f"cells per shape, 1..{MAX_ENUMERATION_CELLS}; "
+            "a value outside that range exits 1"
+        ),
+    )
     enum_cmd.add_argument("--filter", choices=tuple(_FILTERS))
     enum_cmd.set_defaults(handler=_cmd_enumerate)
 

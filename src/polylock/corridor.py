@@ -8,8 +8,9 @@ that pin every level onto horizontal sliders.
 
 Measurements use floats; decisions that classify a scene (snug or not,
 feasible or not, bound met or not) compare exact rationals, so a fit
-that is snug in the input data is never misread through rounding. Floats
-carry only the printed measurements and witnesses, so every length is
+that is snug in the input data is never misread through rounding, and a
+printed witness angle is certified on rationals. Floats carry only the
+printed measurements and the witness search, so every length is
 capped at `MAX_LENGTH`, which keeps them finite. A positive length too
 small for a float is still valid: it is decided exactly, the printed
 derivative measures it as 0.0, and the witness search then measures every
@@ -27,6 +28,10 @@ Number = int | float | Fraction
 
 #: Absolute interval tolerance for witness-angle bisection.
 BISECTION_TOLERANCE = 1e-9
+
+#: Taylor degree past which a witness angle whose fit is still undecided
+#: counts as unproven.
+_TAYLOR_DEGREE = 120
 
 #: Denominator of the proof's epsilon bound: epsilon < width / 10.
 EPSILON_DIVISOR = 10
@@ -115,7 +120,8 @@ class PinningReport:
     When pinned, `derivative_at_zero` is the right derivative of the
     rotated vertical extent at rotation 0 (equal to the width, strictly
     positive, so any rotation immediately overshoots the gap). When not
-    pinned, `witness_beta` is a positive rotation that still fits.
+    pinned, `witness_beta` is a positive float rotation proven to still fit,
+    or None when no positive float could be proven to.
     """
 
     pinned: bool
@@ -174,6 +180,8 @@ def corridor_pins_horizontally(scene: CorridorScene) -> PinningReport:
     True exactly when the fit is snug (gap equals height, compared as
     rationals). A wider gap is answered with a witness rotation: pi/4 when
     w is negligible, else one found by bisection on the extent's rising branch.
+    The witness is halved until its fit is proven on rationals; when no
+    positive float passes, `witness_beta` is None.
     """
     gap = Fraction(scene.corridor_gap)
     height = Fraction(scene.rect_height)
@@ -192,19 +200,50 @@ def corridor_pins_horizontally(scene: CorridorScene) -> PinningReport:
     )
     peak = math.atan2(w, h)
     if peak == 0.0:  # w is negligible: (h + w) / sqrt(2) is below the gap
-        return PinningReport(pinned=False, witness_beta=math.pi / 4)
-    if _extent(w, h, peak) <= target:
-        return PinningReport(pinned=False, witness_beta=peak)
-    low, high = 0.0, peak
+        low = high = math.pi / 4
+    elif _extent(w, h, peak) <= target:
+        low = high = peak
+    else:
+        low, high = 0.0, peak
     while high - low > BISECTION_TOLERANCE:
         mid = (low + high) / 2
         if _extent(w, h, mid) <= target:
             low = mid
         else:
             high = mid
-    while low == 0.0 and _extent(w, h, high) > target:
-        high /= 2
-    return PinningReport(pinned=False, witness_beta=low if low > 0.0 else high)
+    beta = low if low > 0.0 else high
+    exact = Fraction(scene.rect_width), height, gap
+    while beta > 0.0 and not (
+        _extent(w, h, beta) <= target and _certified(*exact, beta)
+    ):
+        beta /= 2
+    return PinningReport(pinned=False, witness_beta=beta if beta > 0.0 else None)
+
+
+def _certified(w: Fraction, h: Fraction, gap: Fraction, beta: float) -> bool:
+    """Is h*cos(beta) + w*sin(beta) <= gap, proven on rationals?
+
+    For 0 < b < pi/2 the Lagrange remainder after a Taylor term of cos or
+    sin is cos(xi) * b**k / k! (0 < xi < b) with the sign of the next term,
+    so a polynomial ending in a positive term is an upper bound and one
+    ending in a negative term a lower bound. Terms are added until one of
+    the bounds decides; past `_TAYLOR_DEGREE` the fit counts as unproven.
+    """
+    b = Fraction(beta)
+    cos_up, sin_up, term = Fraction(1), b, b
+    for degree in range(2, _TAYLOR_DEGREE, 4):
+        upper = h * cos_up + w * sin_up
+        if upper <= gap:
+            return True
+        t2 = term * b / degree
+        t3 = t2 * b / (degree + 1)
+        if upper - h * t2 - w * t3 > gap:
+            return False
+        t4 = t3 * b / (degree + 2)
+        term = t4 * b / (degree + 3)
+        cos_up += t4 - t2
+        sin_up += term - t3
+    return False
 
 
 def chain_hypotheses_hold(scene: RectChainScene) -> ChainReport:

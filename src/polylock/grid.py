@@ -6,6 +6,12 @@ and reflection. All motion elsewhere in the package is axis-aligned
 translation by whole cells, so the continuous sweep of a piece reduces to
 checking the integer stations along the way.
 
+`Polyomino(...)` checks every cell; the shapes derived from a valid one
+(`canonicalize`, `canonical_free_form`, `fixed_orientations`,
+`enumerate_free`) are built unchecked by `_trusted`. Symmetry images are
+compared as integer keys (`_image_keys`), whose largest value is the
+canonical free form, and enumeration dedups on them.
+
 `Lanes` is the slide kernel of `separation` and `classify`: they ask it
 whom a rigid set hits when slid to infinity. (`search` tests its slides
 on per-state bitboards instead.) `Configuration.owner` is the one
@@ -15,10 +21,12 @@ the tests check `Lanes` against; no other module calls it.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Collection, Hashable, Iterable, Iterator, Mapping
 
 Cell = tuple[int, int]
 
@@ -156,76 +164,111 @@ def translate_cells(cells: Iterable[Cell], dx: int, dy: int) -> frozenset[Cell]:
     return frozenset((x + dx, y + dy) for x, y in cells)
 
 
-def _normalize(cells: Iterable[Cell]) -> tuple[Cell, ...]:
-    cells = list(cells)
-    mx = min(x for x, _ in cells)
-    my = min(y for _, y in cells)
-    return tuple(sorted((x - mx, y - my) for x, y in cells))
+def _trusted(cells: frozenset[Cell]) -> Polyomino:
+    """A Polyomino from a translate or symmetry image of a valid one, unchecked."""
+    shape = object.__new__(Polyomino)
+    object.__setattr__(shape, "cells", cells)
+    return shape
 
 
-def _rotate90(cells: Iterable[Cell]) -> list[Cell]:
-    return [(-y, x) for x, y in cells]
+def _image_bits(x: int, y: int, w: int, h: int, s: int) -> tuple[int, ...]:
+    """Where cell (x, y) of the box [0, w] x [0, h] lands in each of the 8
+    symmetry images, as the bit index s*s - a*s - b of image cell (a, b)."""
+    images = (x, y), (w - x, y), (x, h - y), (w - x, h - y)
+    images += (y, x), (h - y, x), (y, w - x), (h - y, w - x)
+    return tuple(s * s - a * s - b for a, b in images)
 
 
-def _reflect(cells: Iterable[Cell]) -> list[Cell]:
-    return [(-x, y) for x, y in cells]
+@functools.lru_cache(maxsize=None)
+def _box_table(w: int, h: int) -> dict[Cell, tuple[int, ...]]:
+    """Each cell's 8 image bits as ints, for one of the at most 100 boxes
+    within the enumeration range."""
+    return {
+        (x, y): tuple(1 << i for i in _image_bits(x, y, w, h, MAX_ENUMERATION_CELLS))
+        for x in range(w + 1)
+        for y in range(h + 1)
+    }
 
 
-def _symmetry_images(cells: Iterable[Cell]) -> list[tuple[Cell, ...]]:
-    images = []
-    current = list(cells)
-    for _ in range(4):
-        images.append(_normalize(current))
-        images.append(_normalize(_reflect(current)))
-        current = _rotate90(current)
-    return images
+def _image_keys(cells: Collection[Cell]) -> tuple[int, list[int]]:
+    """The stride s and the integer keys of a shape's 8 normalised images.
+
+    An image's key has the bit s*s - a*s - b set for each of its cells (a, b),
+    with s above every coordinate. Of two images of one shape, the one whose
+    sorted cell tuple is lexicographically smaller has the larger key, so the
+    largest key is the canonical free form. Boxes within the enumeration
+    range share the stride `MAX_ENUMERATION_CELLS`, so the keys of all shapes
+    of up to that many cells compare, and sum ints from a cached table; a
+    wider box sets its bits in byte arrays, in time and space O(s*s / 8).
+    """
+    xs, ys = zip(*cells)
+    mx, my = min(xs), min(ys)
+    w, h = max(xs) - mx, max(ys) - my
+    s = max(MAX_ENUMERATION_CELLS, w + 1, h + 1)
+    if s == MAX_ENUMERATION_CELLS:
+        table = _box_table(w, h)
+        return s, list(map(sum, zip(*[table[x - mx, y - my] for x, y in cells])))
+    bitmaps = [bytearray(s * s // 8 + 1) for _ in range(8)]
+    for x, y in cells:
+        for bitmap, i in zip(bitmaps, _image_bits(x - mx, y - my, w, h, s)):
+            bitmap[i >> 3] |= 1 << (i & 7)
+    return s, [int.from_bytes(bitmap, "little") for bitmap in bitmaps]
+
+
+def _decode(key: int, s: int) -> frozenset[Cell]:
+    """The cells of an image key with stride s."""
+    bits = f"{key:b}"  # bit s*s - v, for v = a*s + b, is character v - base
+    base = s * s + 1 - len(bits)
+    return frozenset(divmod(base + one.start(), s) for one in re.finditer("1", bits))
 
 
 def canonicalize(shape: Polyomino) -> Polyomino:
     """Translate the shape so its bounding box corner sits at the origin."""
-    return Polyomino(frozenset(_normalize(shape.cells)))
+    return _trusted(translate_cells(shape.cells, -shape.min_x, -shape.min_y))
 
 
 def canonical_free_form(shape: Polyomino) -> Polyomino:
-    """The least normalized image over the 8 symmetries (4 rotations x flip).
+    """The least normalized image over the 8 symmetries (4 rotations x flip),
+    as sorted cell tuples: the largest of `_image_keys`.
 
     Congruent shapes map to equal values, so this is the dedup key for
     counting shapes "up to rotation and reflection".
     """
-    return Polyomino(frozenset(min(_symmetry_images(shape.cells))))
+    s, keys = _image_keys(shape.cells)
+    return _trusted(_decode(max(keys), s))
 
 
 def fixed_orientations(shape: Polyomino) -> list[Polyomino]:
     """The distinct placements of a shape under rotation and reflection.
 
-    Between 1 and 8 normalized shapes depending on the shape's symmetry.
+    Between 1 and 8 normalized shapes depending on the shape's symmetry,
+    ordered by sorted cell tuple.
     """
-    return [
-        Polyomino(frozenset(image))
-        for image in sorted(set(_symmetry_images(shape.cells)))
-    ]
+    s, keys = _image_keys(shape.cells)
+    return [_trusted(_decode(key, s)) for key in sorted(set(keys), reverse=True)]
 
 
 def enumerate_free(n: int) -> list[Polyomino]:
-    """All free polyominoes with n cells, in canonical free form.
+    """All free polyominoes with n cells, in canonical free form, ordered by
+    sorted cell tuple (descending key order).
 
-    Grows (n-1)-cell representatives by one neighboring cell and dedups by
-    canonical free form. Capped at 10 cells to keep runtime sane.
+    Grows each (n-1)-cell representative by every neighbouring cell and dedups
+    on the integer canonical key. Capped at 10 cells to keep runtime sane.
     """
     if not isinstance(n, int) or not 1 <= n <= MAX_ENUMERATION_CELLS:
         raise ValueError(
             f"cell count must be an integer in 1..{MAX_ENUMERATION_CELLS}, got {n!r}"
         )
-    current: set[tuple[Cell, ...]] = {((0, 0),)}
+    s = MAX_ENUMERATION_CELLS
+    level = {max(_image_keys([(0, 0)])[1])}
     for _ in range(n - 1):
-        grown: set[tuple[Cell, ...]] = set()
-        for rep in current:
-            occupied = set(rep)
-            fringe = {nb for cell in rep for nb in neighbors(cell)} - occupied
-            for nb in fringe:
-                grown.add(min(_symmetry_images(occupied | {nb})))
-        current = grown
-    return [Polyomino(frozenset(rep)) for rep in sorted(current)]
+        grown = set()
+        for key in level:
+            rep = _decode(key, s)
+            for nb in {nb for cell in rep for nb in neighbors(cell)} - rep:
+                grown.add(max(_image_keys([*rep, nb])[1]))
+        level = grown
+    return [_trusted(_decode(key, s)) for key in sorted(level, reverse=True)]
 
 
 @dataclass(frozen=True)
@@ -289,10 +332,9 @@ class Configuration:
     def from_cell_map(cls, cells_by_id: dict[str, Iterable[Cell]]) -> "Configuration":
         placements = []
         for piece_id, cells in cells_by_id.items():
-            cells = list(cells)
-            shape = canonicalize(Polyomino(frozenset(cells)))
-            offset = (min(x for x, _ in cells), min(y for _, y in cells))
-            placements.append(Placement(piece_id, shape, offset))
+            shape = Polyomino(frozenset(cells))  # the one check of these cells
+            offset = (shape.min_x, shape.min_y)
+            placements.append(Placement(piece_id, canonicalize(shape), offset))
         return cls(tuple(placements))
 
     def __len__(self) -> int:

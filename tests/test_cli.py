@@ -2,10 +2,13 @@
 
 import time
 import xml.dom.minidom
+from fractions import Fraction
 
 import pytest
 
-from polylock.cli import main
+from polylock.classify import classify
+from polylock.cli import _FILTERS, main
+from polylock.grid import MAX_ENUMERATION_CELLS, Configuration, Polyomino
 from polylock.search import MAX_ARENA_CELLS
 from polylock.formats import emit_grid, emit_structured
 from polylock.instances import (
@@ -16,6 +19,7 @@ from polylock.instances import (
     u_filler_example,
     z_chain,
 )
+from test_grid import _tuple_enumerate_free
 
 
 @pytest.fixture
@@ -155,6 +159,30 @@ def test_enumerate_over_the_size_cap_fails(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", [None, *_FILTERS])
+def test_enumerate_prints_what_the_tuple_enumerator_prints(name, capsys):
+    shapes = [
+        cells
+        for cells in _tuple_enumerate_free(7)
+        if name is None or _FILTERS[name](classify(Polyomino(frozenset(cells))))
+    ]
+    expected = f"{len(shapes)}\n" + "".join(
+        "\n" + emit_grid(Configuration.from_cell_map({"A": cells}))
+        for cells in shapes
+    )
+    argv = ["enumerate", "-n", "7"] + (["--filter", name] if name else [])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_enumerate_help_states_the_cap(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["enumerate", "--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"1..{MAX_ENUMERATION_CELLS}; a value outside that range exits 1" in text
+
+
 def test_lemma_extent(capsys):
     assert main(["lemma", "extent", "--w", "1", "--h", "1", "--beta", "0"]) == 0
     assert "extent: 1.0" in capsys.readouterr().out
@@ -200,6 +228,30 @@ def test_lemma_corridor_decides_a_height_below_the_float_range(capsys):
     assert lines[0] == "pinned: no"
     witness = float(lines[1].removeprefix("witness beta: "))
     assert 0 < witness <= 1.5707963267948966
+    assert captured.err == ""
+
+
+def test_lemma_corridor_shrinks_a_float_witness_until_it_is_certified(capsys):
+    # the gap rounds to the float 1.0; the float bisection's 1.0e-26 overshoots
+    argv = ["--w", "1e10", "--h", "1", "--gap", "1.00000000000000000001"]
+    code = main(["lemma", "corridor", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "pinned: no"
+    beta = Fraction(float(lines[1].removeprefix("witness beta: ")))
+    # cos b <= 1 and sin b <= b, so this bound on the extent is an upper bound
+    assert 0 < beta and 1 + 10**10 * beta <= Fraction("1.00000000000000000001")
+
+
+def test_lemma_corridor_says_when_no_float_witness_is_certified(capsys):
+    argv = ["--w", "1e300", "--h", "1e-30", "--gap", "1.0000000000000000000001e-30"]
+    code = main(["lemma", "corridor", *argv])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (
+        "pinned: no\n"
+        "witness beta: none (no positive float angle is certified to fit)\n"
+    )
     assert captured.err == ""
 
 

@@ -32,6 +32,25 @@ def _fd_derivative_at_zero(w, h, delta=1e-5):
     return (signed(delta) - signed(-delta)) / (2 * delta)
 
 
+def _taylor(b, first, degree):
+    """sum of (-1)**i * b**k / k! over k = first, first + 2, ... <= degree."""
+    return sum(
+        Fraction((-1) ** i) * b**k / math.factorial(k)
+        for i, k in enumerate(range(first, degree + 1, 2))
+    )
+
+
+def _extent_upper_bound(w, h, b):
+    """h*cos(b) + w*sin(b) is at most this for 0 < b < pi/2: both
+    polynomials end in a positive term."""
+    return h * _taylor(b, 0, 60) + w * _taylor(b, 1, 61)
+
+
+def _extent_lower_bound(w, h, b):
+    """...and at least this: both polynomials end in a negative term."""
+    return h * _taylor(b, 0, 2) + w * _taylor(b, 1, 3)
+
+
 class TestRotatedVerticalExtent:
     @given(w=sides, h=sides)
     def test_zero_rotation_returns_height_exactly(self, w, h):
@@ -141,6 +160,40 @@ class TestCorridorPinsHorizontally:
         )
         beta = report.witness_beta
         assert 0 < beta and math.cos(beta) + math.sin(beta) <= 1.1
+
+    def test_witness_is_halved_until_it_fits_exactly(self):
+        # the gap rounds to the float 1.0, where the float extent test
+        # accepts angles whose true extent overshoots the gap
+        gap = Fraction("1.00000000000000000001")
+        scene = CorridorScene(rect_width=10**10, rect_height=1, corridor_gap=gap)
+        beta = corridor_pins_horizontally(scene).witness_beta
+        assert 0 < beta
+        assert _extent_upper_bound(10**10, 1, Fraction(beta)) <= gap
+        # the unhalved bisection result does not fit: lower bound above the gap
+        old = Fraction(1.015103334149633e-26)
+        assert _extent_lower_bound(10**10, 1, old) > gap
+        assert _extent_lower_bound(10**10, 1, Fraction(beta) * 2) > gap
+
+    def test_no_certified_float_witness_is_none(self):
+        h = Fraction(1, 10**30)
+        gap = h * Fraction("1.0000000000000000000001")
+        scene = CorridorScene(rect_width=10**300, rect_height=h, corridor_gap=gap)
+        assert corridor_pins_horizontally(scene) == PinningReport(pinned=False)
+        # not even the smallest positive float fits
+        assert _extent_lower_bound(10**300, h, Fraction(5e-324)) > gap
+
+    @given(
+        w=st.floats(1e-6, 1e6),
+        h=st.floats(1e-6, 1e6),
+        digits=st.integers(0, 40),
+    )
+    @settings(max_examples=100)
+    def test_every_witness_fits_exactly(self, w, h, digits):
+        gap = Fraction(h) * (1 + Fraction(1, 10**digits))
+        scene = CorridorScene(rect_width=w, rect_height=h, corridor_gap=gap)
+        beta = corridor_pins_horizontally(scene).witness_beta
+        assert beta is not None and 0 < beta < math.pi / 2
+        assert _extent_upper_bound(Fraction(w), Fraction(h), Fraction(beta)) <= gap
 
     def test_too_narrow_gap_is_infeasible(self):
         with pytest.raises(InfeasibleSceneError):

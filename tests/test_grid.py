@@ -3,7 +3,8 @@
 Enumeration is checked against an independent oracle in this file: a naive
 fixed-polyomino enumerator whose output is partitioned into congruence
 classes with locally written transforms, never through the library's own
-canonical form.
+canonical form. The integer-key canonical form and enumerator are also
+checked against the tuple-based ones they replaced, kept here as oracles.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import polylock
 from polylock.grid import (
+    MAX_ENUMERATION_CELLS,
     Configuration,
     Direction,
     DIRECTIONS,
@@ -29,6 +31,7 @@ from polylock.grid import (
     canonical_free_form,
     canonicalize,
     enumerate_free,
+    fixed_orientations,
     occupied_cells,
     sweep_collides,
     translate_cells,
@@ -74,6 +77,37 @@ def _oracle_free_count(n):
     for shape in _oracle_fixed_polyominoes(n):
         classes.add(_oracle_congruence_class(shape))
     return len(classes)
+
+
+# The tuple-based canonical form and enumerator that the integer keys
+# replaced: every image is normalised and sorted, and the least one is the
+# canonical free form.
+
+
+def _tuple_symmetry_images(cells):
+    images = []
+    current = list(cells)
+    for _ in range(4):
+        for pts in (current, [(-x, y) for x, y in current]):
+            mx = min(x for x, _ in pts)
+            my = min(y for _, y in pts)
+            images.append(tuple(sorted((x - mx, y - my) for x, y in pts)))
+        current = [(-y, x) for x, y in current]
+    return images
+
+
+def _tuple_enumerate_free(n):
+    current = {((0, 0),)}
+    for _ in range(n - 1):
+        grown = set()
+        for rep in current:
+            occupied = set(rep)
+            for x, y in rep:
+                for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                    if nb not in occupied:
+                        grown.add(min(_tuple_symmetry_images(occupied | {nb})))
+        current = grown
+    return sorted(current)
 
 
 # known fixed counts, to make sure the oracle itself is sane
@@ -216,6 +250,72 @@ def test_enumerate_free_output_is_canonical():
     for shape in enumerate_free(5):
         assert canonical_free_form(shape) == shape
         assert shape.min_x == 0 and shape.min_y == 0
+
+
+def test_enumerate_free_matches_the_tuple_enumerator():
+    for n in range(1, 10):
+        ours = [shape.sorted_cells() for shape in enumerate_free(n)]
+        assert ours == _tuple_enumerate_free(n), n
+
+
+def test_enumerate_free_is_ordered_by_sorted_cells():
+    shapes = [shape.sorted_cells() for shape in enumerate_free(8)]
+    assert shapes == sorted(shapes)
+
+
+def test_free_counts_up_to_the_cap():
+    assert MAX_ENUMERATION_CELLS == 10
+    assert [len(enumerate_free(n)) for n in range(7, 11)] == [108, 369, 1285, 4655]
+
+
+@st.composite
+def placed_polyominoes(draw):
+    """Walks of straight runs, up to 24 cells from a random origin, so many
+    boxes are wider than the enumeration range and many cells are negative."""
+    n = draw(st.integers(1, 24))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    x, y = draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
+    cells = {(x, y)}
+    while len(cells) < n:
+        dx, dy = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1)])
+        for _ in range(min(rng.randint(1, 6), n - len(cells))):
+            x, y = x + dx, y + dy
+            cells.add((x, y))
+    return Polyomino(frozenset(cells))
+
+
+@settings(max_examples=300)
+@given(placed_polyominoes())
+def test_canonical_forms_match_the_tuple_images(shape):
+    images = _tuple_symmetry_images(shape.cells)
+    assert canonical_free_form(shape).sorted_cells() == min(images)
+    assert [s.sorted_cells() for s in fixed_orientations(shape)] == sorted(set(images))
+
+
+@pytest.mark.parametrize("length", [1, 9, 10, 11, 17])
+def test_canonical_forms_of_bars_across_the_table_range(length):
+    bar = Polyomino(frozenset((x, -3) for x in range(length)))
+    upright = tuple((0, y) for y in range(length))
+    assert canonical_free_form(bar).sorted_cells() == upright
+    orientations = [s.sorted_cells() for s in fixed_orientations(bar)]
+    assert orientations == sorted({upright, tuple((x, 0) for x in range(length))})
+
+
+def _revalidated(shape):
+    assert all(type(c) is int for cell in shape.cells for c in cell)
+    assert Polyomino(frozenset(shape.cells)) == shape  # runs every check
+    return shape
+
+
+def test_derived_shapes_pass_the_public_checks():
+    for n in range(1, 9):
+        for free in enumerate_free(n):
+            _revalidated(free)
+            for oriented in fixed_orientations(free):
+                _revalidated(oriented)
+                moved = Polyomino(translate_cells(oriented.cells, -7, 4))
+                _revalidated(canonicalize(moved))
+                _revalidated(canonical_free_form(moved))
 
 
 # --------------------------------------------------------------------------
