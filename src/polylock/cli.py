@@ -4,11 +4,15 @@ Exit codes are the machine contract: 0 for success (plan valid, escape
 found, key reachable), 1 for parse or usage errors, 2 for negative
 analysis results (no plan, locked within budget, key unreachable), and
 3 for searches that ran out of state budget.
+
+`main` parses with one argument parser per process, built on its first
+call; `build_parser` returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +31,7 @@ from .grid import (
     Configuration,
     Direction,
     Placement,
-    Polyomino,
+    _trusted,
     enumerate_free,
 )
 from .search import (
@@ -98,7 +102,7 @@ def _print_moves(moves) -> None:
 def _cmd_classify(args) -> int:
     config = _load(args.file).config
     for pid in sorted(config.piece_ids()):
-        shape = Polyomino.from_cells(config.cells_of(pid))
+        shape = _trusted(config.cells_of(pid))  # checked when the file was read
         report = classify(shape)
         print(
             f"piece {pid}: x-monotone {_yn(report.x_monotone)}, "
@@ -269,7 +273,7 @@ def _cmd_render(args) -> int:
     elif args.annotate == "pockets":
         pocket_cells = []
         for pid in sorted(config.piece_ids()):
-            shape = Polyomino.from_cells(config.cells_of(pid))
+            shape = _trusted(config.cells_of(pid))  # checked when the file was read
             for axis in ("x", "y"):
                 try:
                     for pocket in pockets(shape, axis):
@@ -399,10 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except argparse.ArgumentError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -6,6 +6,10 @@ the first line is the top row. Structured text starts with the header
 line "polylock-config v1" and carries explicit coordinates, arbitrary
 piece ids, comments, and an optional key-piece marker, so it scales past
 62 pieces and survives round trips with ids intact.
+
+Parsing checks a file once: each line's syntax as it is read, then the
+pieces' overlaps and connectivity in `_validated`, which point at the
+offending line. The checked cells go to `Configuration` unchecked again.
 """
 
 from __future__ import annotations
@@ -51,19 +55,21 @@ def detect_format(text: str) -> str:
 
 
 def _validated(pieces: dict[str, list[Cell]], lines: dict[str, int]) -> Configuration:
+    """Check a file's pieces (int pairs, in the order of their first lines):
+    every overlap, then every disconnected piece, each error at the earliest
+    faulty line. The checked cells and owners become the configuration's."""
     claimed: dict[Cell, str] = {}
-    for pid in sorted(pieces, key=lambda p: lines[p]):
-        for cell in pieces[pid]:
-            if cell in claimed and claimed[cell] != pid:
-                raise ParseError(
-                    f"pieces {claimed[cell]!r} and {pid!r} overlap at {cell}",
-                    lines[pid],
-                )
-            claimed[cell] = pid
-    for pid in sorted(pieces, key=lambda p: lines[p]):
-        if not is_connected(frozenset(pieces[pid])):
+    for pid, cells in pieces.items():
+        for cell in cells:
+            owner = claimed.setdefault(cell, pid)
+            if owner != pid:
+                raise ParseError(f"pieces {owner!r} and {pid!r} overlap at {cell}", lines[pid])
+    world = {}
+    for pid, cells in pieces.items():
+        world[pid] = frozenset(cells)
+        if not is_connected(world[pid]):
             raise ParseError(f"piece {pid!r} is not connected", lines[pid])
-    return Configuration.from_cell_map(pieces)
+    return Configuration._from_world(world, claimed)
 
 
 def parse_grid(text: str) -> Configuration:

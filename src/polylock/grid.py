@@ -98,17 +98,17 @@ def neighbors(cell: Cell) -> Iterator[Cell]:
 
 def is_connected(cells: Iterable[Cell]) -> bool:
     """True when the cell set is 4-connected (empty sets are not)."""
-    cells = set(cells)
-    if not cells:
+    unseen = set(cells)
+    if not unseen:
         return False
-    stack = [next(iter(cells))]
-    seen = {stack[0]}
+    stack = [unseen.pop()]
     while stack:
-        for nb in neighbors(stack.pop()):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
+        x, y = stack.pop()
+        for nb in (x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1):
+            if nb in unseen:
+                unseen.remove(nb)
                 stack.append(nb)
-    return len(seen) == len(cells)
+    return not unseen
 
 
 @dataclass(frozen=True)
@@ -306,6 +306,13 @@ class Configuration:
     every occupied cell by its owner, so `placement`, `cells_of` and `owner`
     are dict lookups. The indexes take no part in equality, hashing or
     `repr`.
+
+    Each check runs once. `Configuration(...)` checks its ids and overlaps;
+    its shapes were checked when they were built. `from_cell_map` checks
+    every piece (`Polyomino`) and the overlaps, and `formats` checks a
+    parsed file itself, so that its errors carry line numbers. Both then
+    hand the checked world cells and owner map to `_from_world`, which
+    checks nothing and translates each piece once, to its canonical shape.
     """
 
     placements: tuple[Placement, ...]
@@ -330,12 +337,37 @@ class Configuration:
 
     @classmethod
     def from_cell_map(cls, cells_by_id: dict[str, Iterable[Cell]]) -> "Configuration":
-        placements = []
+        world = {}
         for piece_id, cells in cells_by_id.items():
             shape = Polyomino(frozenset(cells))  # the one check of these cells
+            # its placement's cells, as `Configuration(...)` reads them: their
+            # order picks the shared cell an OverlapError names
             offset = (shape.min_x, shape.min_y)
-            placements.append(Placement(piece_id, canonicalize(shape), offset))
-        return cls(tuple(placements))
+            world[piece_id] = Placement(piece_id, canonicalize(shape), offset).cells
+        return cls._from_world(world, _check_disjoint(world))
+
+    @classmethod
+    def _from_world(
+        cls, cells_by_id: dict[str, frozenset[Cell]], owners: dict[Cell, str]
+    ) -> "Configuration":
+        """A configuration from checked pieces, unchecked.
+
+        Each value of `cells_by_id` must be a valid polyomino's world cells,
+        the pieces disjoint, and `owners` map each of their cells to its
+        piece. Both dicts are kept as the indexes, not copied.
+        """
+        placements = []
+        for piece_id, cells in cells_by_id.items():
+            xs, ys = zip(*cells)
+            offset = min(xs), min(ys)
+            shape = _trusted(translate_cells(cells, -offset[0], -offset[1]))
+            placements.append(Placement(piece_id, shape, offset))
+        config = object.__new__(cls)
+        object.__setattr__(config, "placements", tuple(placements))
+        object.__setattr__(config, "_by_id", {p.piece_id: p for p in placements})
+        object.__setattr__(config, "_cells", cells_by_id)
+        object.__setattr__(config, "_owners", owners)
+        return config
 
     def __len__(self) -> int:
         return len(self.placements)
@@ -364,11 +396,9 @@ class Configuration:
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         """(min_x, min_y, max_x, max_y) over all occupied cells."""
-        cells = [c for p in self.placements for c in p.cells]
-        if not cells:
+        if not self._owners:
             raise ValueError("empty configuration has no bounding box")
-        xs = [x for x, _ in cells]
-        ys = [y for _, y in cells]
+        xs, ys = zip(*self._owners)
         return min(xs), min(ys), max(xs), max(ys)
 
 

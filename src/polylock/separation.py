@@ -263,13 +263,13 @@ def group_le5(config: Configuration) -> list[frozenset[str]]:
         return pid
 
     vertical_us: set[str] = set()
-    for placement in config.placements:
-        found = u_pocket(placement.cells)
+    for pid in config.piece_ids():
+        found = u_pocket(config.cells_of(pid))
         if found is not None and found[1].axis == "y":
-            vertical_us.add(placement.piece_id)
+            vertical_us.add(pid)
             occupant = config.owner(found[0])
             if occupant is not None:
-                roots = find(placement.piece_id), find(occupant)
+                roots = find(pid), find(occupant)
                 parent[max(roots)] = min(roots)
 
     members_by_root: dict[str, list[str]] = {}

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from polylock import cli
 from polylock.classify import classify
-from polylock.cli import _FILTERS, main
+from polylock.cli import _FILTERS, build_parser, main
 from polylock.grid import MAX_ENUMERATION_CELLS, Configuration, Polyomino
 from polylock.search import MAX_ARENA_CELLS
 from polylock.formats import emit_grid, emit_structured
@@ -322,3 +323,77 @@ def test_lemma_corridor_gives_a_positive_witness_for_a_width_below_the_float_ran
     beta = lines[1].removeprefix("witness beta: ")
     assert main(["lemma", "extent", "--w", "1e-400", "--h", "1", "--beta", beta]) == 0
     assert float(capsys.readouterr().out.removeprefix("extent: ")) <= 1.5
+
+
+# --------------------------------------------------------------------------
+# one parser per process
+# --------------------------------------------------------------------------
+
+
+def _run(argv, capsys):
+    """(exit code, stdout, stderr) of one call; `--help` exits with SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = ("SystemExit", stop.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_its_parser_at_most_once(monkeypatch, write, capsys):
+    built = []
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        path = write("u.cfg", emit_structured(u_filler_example()))
+        argvs = (["classify", path], ["enumerate", "-n", "3"], ["bogus"], ["--help"])
+        for argv in argvs * 5:
+            _run(argv, capsys)
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert build_parser() is not build_parser()
+
+
+#: A one-rectangle chain takes no --overlap; a stale overlap would fail it.
+_CHAIN = ["lemma", "chain", "--rect", "5x1", "--gap", "2"]
+
+
+def test_reused_parser_leaks_no_state_between_calls(write, capsys):
+    path = write("u.cfg", emit_structured(u_filler_example()))
+    valid = [
+        ["classify", path],
+        ["separate", path],
+        ["key", write("tray.cfg", emit_structured(tray_with_key(), "K")), "--dx=0", "--dy=1"],
+        [*_CHAIN, "--rect", "5x1", "--overlap", "5", "--epsilon", "0.4"],
+        _CHAIN,
+        ["enumerate", "-n", "4", "--filter", "non-convex"],
+    ]
+    cli._parser.cache_clear()
+    first = [_run(argv, capsys) for argv in valid]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 0]
+    # the same argv twice gives the same answer
+    assert [_run(argv, capsys) for argv in valid] == first
+    # an appended --overlap never reaches the shared default list
+    three = [*_CHAIN, "--rect", "5x1", "--rect", "5x1", "--overlap", "5", "--overlap", "1"]
+    overlapped = _run(three, capsys)
+    assert overlapped[0] == 0
+    assert _run(three, capsys) == overlapped
+    assert _run(_CHAIN, capsys) == first[4]
+    # usage errors and --help leave the next valid call unchanged
+    interruptions = (
+        ["separate"],
+        ["deps", path, "--piece", "U"],
+        ["lemma", "chain", "--overlap", "3", "--gap", "1"],
+        ["--help"],
+        ["lemma", "chain", "--help"],
+    )
+    for bad in interruptions:
+        code, _, _ = _run(bad, capsys)
+        assert code in (1, ("SystemExit", 0)), bad
+        assert [_run(argv, capsys) for argv in valid] == first, bad

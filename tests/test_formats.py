@@ -1,9 +1,12 @@
 """Round trips and line-numbered failures for both text formats."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polylock import formats
 from polylock.formats import (
     EMIT_ALPHABET,
     ParseError,
@@ -19,6 +22,7 @@ from polylock.formats import (
 from polylock.grid import Configuration, Polyomino, is_connected
 from polylock.instances import pinwheel, tray_with_key, u_filler_example
 from polylock.packing import PackingSpec, random_packing
+from test_grid import _oracle_from_cell_map, assert_same_configuration
 
 
 def _cell_sets(config):
@@ -255,3 +259,126 @@ class TestDisconnectedCells:
             parse_document("\n".join(structured) + "\n")
         assert err.value.line_number == lines_above + 3
 
+
+# The load path `_validated` replaced: the same line-numbered checks, then
+# `Configuration.from_cell_map`, which checked every piece again, placed its
+# canonical shape and let `Configuration.__post_init__` translate it back and
+# check the overlaps again (`_oracle_from_cell_map`).
+
+
+def _oracle_validated(pieces, lines):
+    claimed = {}
+    for pid in sorted(pieces, key=lambda p: lines[p]):
+        for cell in pieces[pid]:
+            if cell in claimed and claimed[cell] != pid:
+                raise ParseError(
+                    f"pieces {claimed[cell]!r} and {pid!r} overlap at {cell}",
+                    lines[pid],
+                )
+            claimed[cell] = pid
+    for pid in sorted(pieces, key=lambda p: lines[p]):
+        if not is_connected(frozenset(pieces[pid])):
+            raise ParseError(f"piece {pid!r} is not connected", lines[pid])
+    return _oracle_from_cell_map(pieces)
+
+
+def _parsed_both_ways(text):
+    """(document or ParseError) from the parser and from the oracle path."""
+    outcomes = []
+    for validated in (formats._validated, _oracle_validated):
+        with mock.patch.object(formats, "_validated", validated):
+            try:
+                outcomes.append(parse_document(text))
+            except ParseError as err:
+                outcomes.append(err)
+    return outcomes
+
+
+_cell = st.tuples(st.integers(-2, 3), st.integers(-2, 3))
+_steps = st.lists(st.sampled_from(((1, 0), (-1, 0), (0, 1), (0, -1))), max_size=6)
+
+
+@st.composite
+def _piece_cells(draw):
+    """A walk (connected, may list a cell twice) or loose cells (may be
+    disconnected), in a small box so that pieces often overlap."""
+    if draw(st.booleans()):
+        return draw(st.lists(_cell, min_size=1, max_size=5))
+    x, y = draw(_cell)
+    cells = [(x, y)]
+    for dx, dy in draw(_steps):
+        x, y = x + dx, y + dy
+        cells.append((x, y))
+    return cells
+
+
+@st.composite
+def _structured_documents(draw):
+    ids = draw(st.lists(st.sampled_from(["A", "B", "C", "dd", "e1"]), max_size=4, unique=True))
+    if ids and draw(st.integers(0, 9)) == 0:
+        ids.append(ids[0])
+    lines = [STRUCTURED_HEADER]
+    for pid in ids:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# note", "   "])))
+        cells = draw(_piece_cells())
+        lines.append(f"piece {pid}: " + " ".join(f"({x},{y})" for x, y in cells))
+    if ids and draw(st.booleans()):
+        lines.append(f"key {draw(st.sampled_from(ids + ['Z']))}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _grid_documents(draw):
+    """Walks painted onto a small canvas (later pieces cover earlier ones),
+    or rows of random symbols."""
+    if draw(st.booleans()):
+        alphabet = st.sampled_from("AAB.. C")
+        rows = draw(st.lists(st.text(alphabet, max_size=6), min_size=1, max_size=6))
+        return "\n".join(rows) + "\n"
+    canvas = {}
+    for symbol in draw(st.lists(st.sampled_from("ABCDx#"), max_size=5, unique=True)):
+        for x, y in draw(_piece_cells()):
+            canvas[x + 2, y + 2] = symbol
+    rows = [
+        "".join(canvas.get((x, y), ".") for x in range(8)) for y in range(7, -1, -1)
+    ]
+    return "\n".join(rows) + "\n"
+
+
+class TestLoadPathOracle:
+    """Parsing checks each cell once and matches the path it replaced: the
+    same configuration and indexes, or the same error on the same line."""
+
+    @given(st.one_of(_structured_documents(), _grid_documents()))
+    @settings(max_examples=400, deadline=None)
+    def test_parser_matches_the_old_load_path(self, text):
+        got, expected = _parsed_both_ways(text)
+        if isinstance(expected, ParseError):
+            assert isinstance(got, ParseError), text
+            assert (str(got), got.line_number) == (str(expected), expected.line_number)
+            return
+        assert got.key_piece == expected.key_piece
+        assert_same_configuration(got.config, expected.config)
+
+    def test_named_faults_match_the_old_load_path(self):
+        """A cell listed twice, files with both faults (the overlap is
+        reported), a disconnected grid piece and a valid grid."""
+        texts = [
+            f"{STRUCTURED_HEADER}\npiece A: (0,0) (0,0) (1,0)\npiece B: (1,0) (3,3)\n",
+            f"{STRUCTURED_HEADER}\npiece A: (0,0) (2,0)\npiece B: (0,0)\n",
+            "A.A\nBB.\n",
+            "AB\nAB\n",
+        ]
+        outcomes = [_parsed_both_ways(text) for text in texts]
+        for got, expected in outcomes:
+            assert type(got) is type(expected)
+        assert [str(got) for got, _ in outcomes[:3]] == [
+            "line 3: pieces 'A' and 'B' overlap at (1, 0)",
+            "line 3: pieces 'A' and 'B' overlap at (0, 0)",
+            "line 1: piece 'A' is not connected",
+        ]
+        assert outcomes[3][0].config.cell_map() == {
+            "A": {(0, 0), (0, 1)},
+            "B": {(1, 0), (1, 1)},
+        }

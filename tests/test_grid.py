@@ -32,6 +32,7 @@ from polylock.grid import (
     canonicalize,
     enumerate_free,
     fixed_orientations,
+    neighbors,
     occupied_cells,
     sweep_collides,
     translate_cells,
@@ -411,6 +412,69 @@ def test_owner_names_the_piece_on_a_cell():
     assert config.owner((1, 0)) == "a"
     assert config.owner((2, 0)) is None
     assert Configuration(()).owner((0, 0)) is None
+
+
+def _oracle_from_cell_map(cells_by_id):
+    """The construction `from_cell_map` replaced: check each piece, place its
+    canonical shape, and let `Configuration.__post_init__` translate every
+    piece back and check the overlaps."""
+    placements = []
+    for piece_id, cells in cells_by_id.items():
+        shape = Polyomino(frozenset(cells))
+        offset = (shape.min_x, shape.min_y)
+        placements.append(Placement(piece_id, canonicalize(shape), offset))
+    return Configuration(tuple(placements))
+
+
+def assert_same_configuration(got, expected):
+    """Equal placements and indexes: cells in piece order, owners, box."""
+    assert got == expected
+    assert [got.placement(pid) for pid in got.piece_ids()] == list(expected.placements)
+    assert list(got.cell_map().items()) == list(expected.cell_map().items())
+    assert occupied_cells(got) == occupied_cells(expected)
+    for cell in occupied_cells(expected):
+        for probe in (cell, *neighbors(cell)):
+            assert got.owner(probe) == expected.owner(probe), probe
+    if expected.placements:
+        # the box as it was computed before it read the owner index
+        xs, ys = zip(*(cell for p in expected.placements for cell in p.cells))
+        assert got.bounding_box() == (min(xs), min(ys), max(xs), max(ys))
+
+
+_steps = st.lists(st.sampled_from(DIRECTIONS), max_size=7)
+
+
+@st.composite
+def _piece_cells(draw):
+    """A walk (connected, may revisit a cell), loose cells (may be empty or
+    disconnected), or loose cells with one cell that is no int pair."""
+    kind = draw(st.sampled_from(("walk", "walk", "loose", "bad")))
+    cell = st.tuples(st.integers(-2, 3), st.integers(-2, 3))
+    if kind == "walk":
+        x, y = draw(cell)
+        cells = [(x, y)]
+        for step in draw(_steps):
+            x, y = x + step.dx, y + step.dy
+            cells.append((x, y))
+        return cells
+    cells = draw(st.lists(cell, max_size=5))
+    if kind == "bad":
+        bad = draw(st.sampled_from(((0.5, 1), (1, 2, 3), "ab", (True, 1.0))))
+        cells.insert(draw(st.integers(0, len(cells))), bad)
+    return cells
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dictionaries(st.sampled_from("abcdef"), _piece_cells(), max_size=5))
+def test_from_cell_map_matches_the_old_construction(cells_by_id):
+    try:
+        expected = _oracle_from_cell_map(cells_by_id)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            Configuration.from_cell_map(cells_by_id)
+        assert (type(got.value), str(got.value)) == (type(err), str(err))
+        return
+    assert_same_configuration(Configuration.from_cell_map(cells_by_id), expected)
 
 
 # --------------------------------------------------------------------------
