@@ -13,7 +13,7 @@ import argparse
 import pathlib
 import sys
 
-from polylock import classify, pockets, separate_le5, simulate_plan
+from polylock import Polyomino, classify, pockets, separate_le5, simulate_plan
 from polylock.instances import (
     clasped_c_pair,
     keyhole_pair,
@@ -58,15 +58,9 @@ def main():
         return 1
     write(directory, "u_filler_plan", render_svg(example, plan=plan))
 
-    placement = example.placement("U")
-    report = classify(placement.shape)
-    axis = "y" if not report.y_monotone else "x"
-    dx, dy = placement.offset
-    pocket_cells = [
-        (x + dx, y + dy)
-        for pocket in pockets(placement.shape, axis)
-        for x, y in pocket.cells
-    ]
+    u_shape = Polyomino(example.cells_of("U"))
+    axis = "y" if not classify(u_shape).y_monotone else "x"
+    pocket_cells = [cell for pocket in pockets(u_shape, axis) for cell in pocket.cells]
     write(
         directory,
         "u_filler_pockets",

@@ -30,7 +30,6 @@ from .grid import (
     MAX_ENUMERATION_CELLS,
     Configuration,
     Direction,
-    Placement,
     _trusted,
     enumerate_free,
 )
@@ -219,7 +218,7 @@ def _cmd_enumerate(args) -> int:
     print(len(shapes))
     for shape in shapes:
         print()
-        print(emit_grid(Configuration((Placement("A", shape),))), end="")
+        print(emit_grid(Configuration.from_cell_map({"A": shape.cells})), end="")
     return 0
 
 

@@ -9,7 +9,8 @@ piece ids, comments, and an optional key-piece marker, so it scales past
 
 Parsing checks a file once: each line's syntax as it is read, then the
 pieces' overlaps and connectivity in `_validated`, which point at the
-offending line. The checked cells go to `Configuration` unchecked again.
+offending line. The configuration keeps the checked world cells and
+their owner map as they are: nothing is checked or translated again.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def _grid_symbols(config: Configuration) -> dict[str, str]:
 
 def emit_grid(config: Configuration) -> str:
     """Write a character grid; single-character ids are kept as symbols."""
-    if not config.placements:
+    if len(config) == 0:
         return ""
     symbols = _grid_symbols(config)
     min_x, min_y, max_x, max_y = config.bounding_box()
@@ -200,7 +201,7 @@ def emit_structured(config: Configuration, key_piece: str | None = None) -> str:
                 f"piece id {pid!r} cannot carry spaces or colons in this format"
             )
     if key_piece is not None:
-        config.placement(key_piece)  # raises KeyError for unknown pieces
+        config.cells_of(key_piece)  # raises KeyError for unknown pieces
     lines = [STRUCTURED_HEADER]
     for pid in sorted(config.piece_ids()):
         cells = " ".join(f"({x},{y})" for x, y in sorted(config.cells_of(pid)))

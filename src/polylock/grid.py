@@ -1,4 +1,4 @@
-"""Integer-grid polyominoes, placements, and axis-aligned slide tests.
+"""Integer-grid polyominoes, configurations of them, and axis-aligned slide tests.
 
 Cells are (x, y) pairs with y increasing upward. A polyomino is a finite,
 non-empty, 4-connected set of cells; congruence allows the four rotations
@@ -12,6 +12,9 @@ checking the integer stations along the way.
 compared as integer keys (`_image_keys`), whose largest value is the
 canonical free form, and enumeration dedups on them.
 
+A `Configuration` is its pieces' world cells keyed by id, plus the owner
+of every occupied cell; pieces are never stored as a shape and an offset.
+
 `Lanes` is the slide kernel of `separation` and `classify`: they ask it
 whom a rigid set hits when slid to infinity. (`search` tests its slides
 on per-state bitboards instead.) `Configuration.owner` is the one
@@ -24,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Hashable, Iterable, Iterator, Mapping
 
@@ -34,7 +37,7 @@ MAX_ENUMERATION_CELLS = 10
 
 
 class OverlapError(ValueError):
-    """Two placements claim the same cell."""
+    """Two pieces of a configuration claim the same cell."""
 
     def __init__(self, piece_a: str, piece_b: str, cell: Cell):
         self.piece_a = piece_a
@@ -124,7 +127,7 @@ class Polyomino:
             if (
                 not isinstance(cell, tuple)
                 or len(cell) != 2
-                or not all(isinstance(c, int) for c in cell)
+                or not all(isinstance(c, int) and not isinstance(c, bool) for c in cell)
             ):
                 raise ValueError(f"cell {cell!r} is not an (int, int) pair")
         if not is_connected(self.cells):
@@ -271,79 +274,47 @@ def enumerate_free(n: int) -> list[Polyomino]:
     return [_trusted(_decode(key, s)) for key in sorted(level, reverse=True)]
 
 
-@dataclass(frozen=True)
-class Placement:
-    """A named polyomino at an integer offset."""
-
-    piece_id: str
-    shape: Polyomino
-    offset: Cell = (0, 0)
-
-    @property
-    def cells(self) -> frozenset[Cell]:
-        return translate_cells(self.shape.cells, *self.offset)
-
-    def moved(self, dx: int, dy: int) -> "Placement":
-        return Placement(self.piece_id, self.shape, (self.offset[0] + dx, self.offset[1] + dy))
-
-
 def _check_disjoint(cells_by_id: Mapping[str, Iterable[Cell]]) -> dict[Cell, str]:
+    """The owner of every cell of disjoint pieces.
+
+    On an overlap the error names the later piece's smallest cell that an
+    earlier piece owns, and that owner.
+    """
     claimed: dict[Cell, str] = {}
     for piece_id, cells in cells_by_id.items():
         for cell in cells:
-            other = claimed.get(cell)
-            if other is not None:
-                raise OverlapError(other, piece_id, cell)
-            claimed[cell] = piece_id
+            if claimed.setdefault(cell, piece_id) != piece_id:
+                shared = min(c for c in cells if claimed.get(c, piece_id) != piece_id)
+                raise OverlapError(claimed[shared], piece_id, shared)
     return claimed
 
 
-@dataclass(frozen=True)
 class Configuration:
-    """A set of interior-disjoint placements with distinct ids.
+    """Interior-disjoint polyominoes, each a set of world cells keyed by id.
 
-    Placements and their world cells are indexed by id at construction, and
-    every occupied cell by its owner, so `placement`, `cells_of` and `owner`
-    are dict lookups. The indexes take no part in equality, hashing or
-    `repr`.
+    A configuration holds each piece's cells and the owner of every
+    occupied cell, so `cells_of` and `owner` are dict lookups. Two
+    configurations are equal when they hold the same ids with the same
+    cells; the owner map takes no part in equality, hashing or `repr`.
 
-    Each check runs once. `Configuration(...)` checks its ids and overlaps;
-    its shapes were checked when they were built. `from_cell_map` checks
-    every piece (`Polyomino`) and the overlaps, and `formats` checks a
-    parsed file itself, so that its errors carry line numbers. Both then
-    hand the checked world cells and owner map to `_from_world`, which
-    checks nothing and translates each piece once, to its canonical shape.
+    Each check runs once. `from_cell_map` checks every piece (`Polyomino`)
+    and the overlaps, and `formats` checks a parsed file itself, so that its
+    errors carry line numbers. Both then hand the checked world cells and
+    owner map to `_from_world`, which checks nothing and keeps them as they
+    are.
     """
 
-    placements: tuple[Placement, ...]
-    _by_id: dict[str, Placement] = field(init=False, repr=False, compare=False)
-    _cells: dict[str, frozenset[Cell]] = field(init=False, repr=False, compare=False)
-    _owners: dict[Cell, str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        by_id = {p.piece_id: p for p in self.placements}
-        if len(by_id) != len(self.placements):
-            ids = [p.piece_id for p in self.placements]
-            dup = next(i for i in ids if ids.count(i) > 1)
-            raise ValueError(f"duplicate piece id {dup!r}")
-        cells = {piece_id: p.cells for piece_id, p in by_id.items()}
-        object.__setattr__(self, "_owners", _check_disjoint(cells))
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_cells", cells)
+    __slots__ = ("_cells", "_owners")
 
     @classmethod
-    def from_placements(cls, placements: Iterable[Placement]) -> "Configuration":
-        return cls(tuple(placements))
-
-    @classmethod
-    def from_cell_map(cls, cells_by_id: dict[str, Iterable[Cell]]) -> "Configuration":
-        world = {}
-        for piece_id, cells in cells_by_id.items():
-            shape = Polyomino(frozenset(cells))  # the one check of these cells
-            # its placement's cells, as `Configuration(...)` reads them: their
-            # order picks the shared cell an OverlapError names
-            offset = (shape.min_x, shape.min_y)
-            world[piece_id] = Placement(piece_id, canonicalize(shape), offset).cells
+    def from_cell_map(
+        cls, cells_by_id: Mapping[str, Iterable[Cell]]
+    ) -> "Configuration":
+        # `Polyomino` is the one check of each piece's cells
+        world = {
+            piece_id: Polyomino(frozenset(cells)).cells
+            for piece_id, cells in cells_by_id.items()
+        }
         return cls._from_world(world, _check_disjoint(world))
 
     @classmethod
@@ -354,32 +325,30 @@ class Configuration:
 
         Each value of `cells_by_id` must be a valid polyomino's world cells,
         the pieces disjoint, and `owners` map each of their cells to its
-        piece. Both dicts are kept as the indexes, not copied.
+        piece. Both dicts are kept, not copied.
         """
-        placements = []
-        for piece_id, cells in cells_by_id.items():
-            xs, ys = zip(*cells)
-            offset = min(xs), min(ys)
-            shape = _trusted(translate_cells(cells, -offset[0], -offset[1]))
-            placements.append(Placement(piece_id, shape, offset))
         config = object.__new__(cls)
-        object.__setattr__(config, "placements", tuple(placements))
-        object.__setattr__(config, "_by_id", {p.piece_id: p for p in placements})
-        object.__setattr__(config, "_cells", cells_by_id)
-        object.__setattr__(config, "_owners", owners)
+        config._cells = cells_by_id
+        config._owners = owners
         return config
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        return self._cells == other._cells
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._cells.items()))
+
+    def __repr__(self) -> str:
+        cells = {pid: sorted(cells) for pid, cells in self._cells.items()}
+        return f"Configuration.from_cell_map({cells!r})"
+
     def __len__(self) -> int:
-        return len(self.placements)
+        return len(self._cells)
 
     def piece_ids(self) -> tuple[str, ...]:
-        return tuple(p.piece_id for p in self.placements)
-
-    def placement(self, piece_id: str) -> Placement:
-        try:
-            return self._by_id[piece_id]
-        except KeyError:
-            raise KeyError(f"no piece {piece_id!r} in configuration") from None
+        return tuple(self._cells)
 
     def cells_of(self, piece_id: str) -> frozenset[Cell]:
         try:
@@ -403,7 +372,7 @@ class Configuration:
 
 
 def occupied_cells(config: Configuration) -> frozenset[Cell]:
-    """Union of all placement cells, read from the owner index."""
+    """Union of all piece cells, read from the owner index."""
     return frozenset(config._owners)
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .grid import DIRECTIONS, Cell, Configuration, Direction
+from .grid import DIRECTIONS, Cell, Configuration, Direction, translate_cells
 
 #: Largest rigid subset tried in subset-move mode.
 DEFAULT_SUBSET_CAP = 4
@@ -70,13 +70,21 @@ class SearchBudget:
             raise ValueError("radius must be an integer")
         if self.radius < 0:
             raise ValueError("radius must be non-negative")
-        if not isinstance(self.max_states, int) or self.max_states < 1:
+        if (
+            not isinstance(self.max_states, int)
+            or isinstance(self.max_states, bool)
+            or self.max_states < 1
+        ):
             raise ValueError("max_states must be a positive integer")
         if self.mode not in (SINGLE_PIECE, SUBSET_MOVE):
             raise ValueError(
                 f"mode must be {SINGLE_PIECE!r} or {SUBSET_MOVE!r}, got {self.mode!r}"
             )
-        if not isinstance(self.subset_cap, int) or self.subset_cap < 1:
+        if (
+            not isinstance(self.subset_cap, int)
+            or isinstance(self.subset_cap, bool)
+            or self.subset_cap < 1
+        ):
             raise ValueError("subset_cap must be a positive integer")
 
 
@@ -509,7 +517,7 @@ def escape_search(config: Configuration, budget: SearchBudget) -> SearchVerdict:
     configuration escapes trivially. `locked-within-budget` means the whole
     reachable set inside the arena was exhausted with no escape.
     """
-    if not config.placements:
+    if len(config) == 0:
         raise ValueError("escape search needs at least one piece")
 
     def goal(engine, offsets):
@@ -544,7 +552,7 @@ def key_piece_reachable(
     pieces, so the answer is exact even when other pieces are collapsed as
     interchangeable.
     """
-    config.placement(key)  # raises KeyError for unknown pieces
+    config.cells_of(key)  # raises KeyError for unknown pieces
     if (
         not isinstance(displacement, tuple)
         or len(displacement) != 2
@@ -598,9 +606,13 @@ def replay_trace(
         unknown = piece_ids - set(board.piece_ids())
         if unknown:
             raise KeyError(f"trace references unknown piece {sorted(unknown)[0]!r}")
-        board = Configuration.from_placements(
-            p.moved(direction.dx, direction.dy) if p.piece_id in piece_ids else p
-            for p in board.placements
+        board = Configuration.from_cell_map(
+            {
+                pid: translate_cells(cells, direction.dx, direction.dy)
+                if pid in piece_ids
+                else cells
+                for pid, cells in board.cell_map().items()
+            }
         )
     return board
 

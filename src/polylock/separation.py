@@ -250,9 +250,9 @@ def group_le5(config: Configuration) -> list[frozenset[str]]:
     planning failure. An empty-pocket vertical U is exempt from the row
     check, since its filled 2x3 closure always passes it.
     """
-    for placement in config.placements:
-        if len(placement.shape) > GROUPABLE_MAX_CELLS:
-            raise OversizedPieceError(placement.piece_id, len(placement.shape))
+    for pid, cells in config.cell_map().items():
+        if len(cells) > GROUPABLE_MAX_CELLS:
+            raise OversizedPieceError(pid, len(cells))
 
     parent = {pid: pid for pid in config.piece_ids()}
 

@@ -100,7 +100,7 @@ def _compress(loop: list[Cell]) -> list[Cell]:
 
 class _Canvas:
     def __init__(self, config: Configuration):
-        if config.placements:
+        if len(config) > 0:
             min_x, min_y, max_x, max_y = config.bounding_box()
         else:
             min_x = min_y = 0

@@ -60,7 +60,7 @@ class TestParseGrid:
         assert err.value.line_number == 1
 
     def test_empty_text_is_an_empty_configuration(self):
-        assert parse_grid("").placements == ()
+        assert parse_grid("") == Configuration.from_cell_map({})
 
 
 class TestEmitGrid:
@@ -76,7 +76,7 @@ class TestEmitGrid:
         assert set("".join(text.split())) <= set(EMIT_ALPHABET) | {"."}
 
     def test_empty_configuration_emits_empty_text(self):
-        assert emit_grid(Configuration.from_placements([])) == ""
+        assert emit_grid(Configuration.from_cell_map({})) == ""
 
     def test_too_many_pieces_for_renaming(self):
         config = Configuration.from_cell_map(
@@ -209,7 +209,7 @@ class TestAutoDetect:
         config = random_packing(
             seed, PackingSpec(width=7, height=7, max_pieces=6, max_cells=4)
         )
-        if not config.placements:
+        if len(config) == 0:
             return
         via_grid = parse_config(emit_grid(config))
         via_structured = parse_config(emit_structured(config))
@@ -261,9 +261,8 @@ class TestDisconnectedCells:
 
 
 # The load path `_validated` replaced: the same line-numbered checks, then
-# `Configuration.from_cell_map`, which checked every piece again, placed its
-# canonical shape and let `Configuration.__post_init__` translate it back and
-# check the overlaps again (`_oracle_from_cell_map`).
+# `Configuration.from_cell_map`, which checked every piece and the overlaps
+# again (restated independently by `_oracle_from_cell_map`).
 
 
 def _oracle_validated(pieces, lines):

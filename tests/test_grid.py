@@ -26,7 +26,6 @@ from polylock.grid import (
     DIRECTIONS,
     Lanes,
     OverlapError,
-    Placement,
     Polyomino,
     canonical_free_form,
     canonicalize,
@@ -347,7 +346,7 @@ def test_direction_axes_and_signs():
 
 
 def test_occupied_cells_empty_config():
-    assert occupied_cells(Configuration(())) == frozenset()
+    assert occupied_cells(Configuration.from_cell_map({})) == frozenset()
 
 
 def test_occupied_cells_union():
@@ -358,24 +357,38 @@ def test_occupied_cells_union():
 
 
 def test_overlap_error_names_both_pieces():
-    domino = Polyomino(frozenset({(0, 0), (1, 0)}))
     with pytest.raises(OverlapError) as err:
-        Configuration(
-            (
-                Placement("left", domino, (0, 0)),
-                Placement("right", domino, (1, 0)),
-            )
+        Configuration.from_cell_map(
+            {"left": [(0, 0), (1, 0)], "right": [(1, 0), (2, 0)]}
         )
-    assert {err.value.piece_a, err.value.piece_b} == {"left", "right"}
+    assert (err.value.piece_a, err.value.piece_b) == ("left", "right")
     assert err.value.cell == (1, 0)
 
 
-def test_duplicate_piece_id_rejected():
-    domino = Polyomino(frozenset({(0, 0), (1, 0)}))
-    with pytest.raises(ValueError, match="duplicate"):
-        Configuration(
-            (Placement("a", domino, (0, 0)), Placement("a", domino, (5, 5)))
+def test_overlap_error_names_the_later_pieces_smallest_shared_cell():
+    with pytest.raises(OverlapError) as err:
+        Configuration.from_cell_map(
+            {
+                "a": [(0, -1), (1, -1)],
+                "b": [(1, -1), (0, -1), (1, -1), (1, -2)],
+                "c": [(5, 5)],
+            }
         )
+    assert str(err.value) == "pieces 'a' and 'b' overlap at cell (0, -1)"
+    # with two earlier owners, the one of that smallest cell is named
+    with pytest.raises(OverlapError) as err:
+        Configuration.from_cell_map(
+            {"a": [(1, 0)], "b": [(0, 1)], "c": [(0, 0), (1, 0), (0, 1)]}
+        )
+    assert (err.value.piece_a, err.value.piece_b, err.value.cell) == ("b", "c", (0, 1))
+
+
+@pytest.mark.parametrize("bad", [(True, False), (0, True), (False, 0)])
+def test_bool_coordinates_rejected(bad):
+    with pytest.raises(ValueError, match="is not an \\(int, int\\) pair"):
+        Polyomino(frozenset({bad}))
+    with pytest.raises(ValueError, match="is not an \\(int, int\\) pair"):
+        Configuration.from_cell_map({"a": [bad, (2, 0)]})
 
 
 def test_from_cell_map_preserves_world_cells():
@@ -384,24 +397,26 @@ def test_from_cell_map_preserves_world_cells():
 
 
 def test_configuration_index_is_invisible():
-    domino = Polyomino(frozenset({(0, 0), (1, 0)}))
-    placements = (Placement("a", domino, (0, 0)), Placement("b", domino, (0, 1)))
-    config = Configuration(placements)
-    twin = Configuration(tuple(placements))
+    pieces = {"a": [(0, 0), (1, 0)], "b": [(0, 1), (1, 1)]}
+    config = Configuration.from_cell_map(pieces)
+    twin = Configuration.from_cell_map(dict(reversed(pieces.items())))
     assert config == twin and hash(config) == hash(twin)
-    assert config != Configuration(placements[:1])
-    assert repr(config) == f"Configuration(placements={placements!r})"
+    assert config != Configuration.from_cell_map({"a": pieces["a"]})
+    assert config != Configuration.from_cell_map({"a": pieces["a"], "c": pieces["b"]})
+    assert config != Configuration.from_cell_map({**pieces, "b": [(0, 2), (1, 2)]})
+    assert repr(config) == (
+        "Configuration.from_cell_map({'a': [(0, 0), (1, 0)], 'b': [(0, 1), (1, 1)]})"
+    )
+    assert eval(repr(config)) == config
     # the owner map is per-instance state, yet equality, hash and repr ignore it
     assert config._owners is not twin._owners
     object.__setattr__(twin, "_owners", {})
     assert config == twin and hash(config) == hash(twin)
-    assert repr(twin) == repr(config)
-    assert config.placement("b") is placements[1]
+    assert config.piece_ids() == ("a", "b") and len(config) == 2
     assert config.cells_of("b") == frozenset({(0, 1), (1, 1)})
     assert config.cell_map() == {"a": {(0, 0), (1, 0)}, "b": {(0, 1), (1, 1)}}
-    for lookup in (config.placement, config.cells_of):
-        with pytest.raises(KeyError, match="no piece 'c'"):
-            lookup("c")
+    with pytest.raises(KeyError, match="no piece 'c'"):
+        config.cells_of("c")
 
 
 def test_owner_names_the_piece_on_a_cell():
@@ -411,33 +426,53 @@ def test_owner_names_the_piece_on_a_cell():
     assert config.owner((3, 1)) == "b"
     assert config.owner((1, 0)) == "a"
     assert config.owner((2, 0)) is None
-    assert Configuration(()).owner((0, 0)) is None
+    assert Configuration.from_cell_map({}).owner((0, 0)) is None
 
 
 def _oracle_from_cell_map(cells_by_id):
-    """The construction `from_cell_map` replaced: check each piece, place its
-    canonical shape, and let `Configuration.__post_init__` translate every
-    piece back and check the overlaps."""
-    placements = []
+    """`from_cell_map`'s rule, restated with no library check: every piece,
+    in order, must be a non-empty, edge-connected set of pairs of plain ints
+    (a bool is not one); then the first piece that meets an earlier one
+    fails on its smallest cell that an earlier piece owns. The oracle's
+    cells and owners are stored unchecked."""
+    world = {}
     for piece_id, cells in cells_by_id.items():
-        shape = Polyomino(frozenset(cells))
-        offset = (shape.min_x, shape.min_y)
-        placements.append(Placement(piece_id, canonicalize(shape), offset))
-    return Configuration(tuple(placements))
+        cells = frozenset(cells)
+        if not cells:
+            raise ValueError("a polyomino needs at least one cell")
+        for cell in cells:
+            ints = type(cell) is tuple and len(cell) == 2 and all(type(c) is int for c in cell)
+            if not ints:
+                raise ValueError(f"cell {cell!r} is not an (int, int) pair")
+        reached, stack = set(), [min(cells)]
+        while stack:
+            x, y = stack.pop()
+            if (x, y) in cells and (x, y) not in reached:
+                reached.add((x, y))
+                stack += [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
+        if reached != cells:
+            raise ValueError(f"cells are not edge-connected: {sorted(cells)}")
+        world[piece_id] = cells
+    owners = {}
+    for piece_id, cells in world.items():
+        shared = sorted(cells & owners.keys())
+        if shared:
+            raise OverlapError(owners[shared[0]], piece_id, shared[0])
+        owners.update(dict.fromkeys(cells, piece_id))
+    return Configuration._from_world(world, owners)
 
 
 def assert_same_configuration(got, expected):
-    """Equal placements and indexes: cells in piece order, owners, box."""
+    """Equal pieces and indexes: cells in piece order, owners, box."""
     assert got == expected
-    assert [got.placement(pid) for pid in got.piece_ids()] == list(expected.placements)
     assert list(got.cell_map().items()) == list(expected.cell_map().items())
     assert occupied_cells(got) == occupied_cells(expected)
     for cell in occupied_cells(expected):
         for probe in (cell, *neighbors(cell)):
             assert got.owner(probe) == expected.owner(probe), probe
-    if expected.placements:
+    if len(expected):
         # the box as it was computed before it read the owner index
-        xs, ys = zip(*(cell for p in expected.placements for cell in p.cells))
+        xs, ys = zip(*(cell for cells in expected.cell_map().values() for cell in cells))
         assert got.bounding_box() == (min(xs), min(ys), max(xs), max(ys))
 
 
@@ -459,7 +494,7 @@ def _piece_cells(draw):
         return cells
     cells = draw(st.lists(cell, max_size=5))
     if kind == "bad":
-        bad = draw(st.sampled_from(((0.5, 1), (1, 2, 3), "ab", (True, 1.0))))
+        bad = draw(st.sampled_from(((0.5, 1), (1, 2, 3), "ab", (True, 1), (0, False))))
         cells.insert(draw(st.integers(0, len(cells))), bad)
     return cells
 
@@ -652,3 +687,15 @@ def test_only_grid_binds_sweep_collides():
         assert hasattr(module, "sweep_collides") == (name == "grid"), name
     assert "sweep_collides" not in polylock.__all__
     assert not hasattr(polylock, "sweep_collides")
+
+
+def test_every_exported_name_resolves():
+    """Each `__all__` lists only names its module binds, so a stale export
+    of a deleted name cannot come back unnoticed."""
+    names = [info.name for info in pkgutil.iter_modules(polylock.__path__)]
+    modules = [polylock, *(importlib.import_module(f"polylock.{n}") for n in names)]
+    exporting = [module for module in modules if hasattr(module, "__all__")]
+    assert polylock in exporting and len(exporting) > len(modules) // 2
+    for module in exporting:
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)

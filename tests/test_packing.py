@@ -79,7 +79,7 @@ def test_dense_packing_meets_budget_and_density(seed):
     min_x, min_y, max_x, max_y = config.bounding_box()
     assert 0 <= min_x and max_x < DENSE.width
     assert 0 <= min_y and max_y < DENSE.height
-    assert all(len(p.shape) <= DENSE.max_cells for p in config.placements)
+    assert all(len(cells) <= DENSE.max_cells for cells in config.cell_map().values())
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -87,8 +87,8 @@ def test_shape_filter_applies_to_placed_cells(seed):
     config = random_packing(
         seed, DENSE, shape_filter=lambda shape: is_monotone(shape, "y")
     )
-    for placement in config.placements:
-        assert is_monotone(Polyomino(placement.cells), "y")
+    for cells in config.cell_map().values():
+        assert is_monotone(Polyomino(cells), "y")
 
 
 def test_small_sparse_spec_places_up_to_piece_budget():
@@ -97,7 +97,7 @@ def test_small_sparse_spec_places_up_to_piece_budget():
     )
     config = random_packing(3, spec)
     assert 1 <= len(config) <= 4
-    assert all(len(p.shape) <= 4 for p in config.placements)
+    assert all(len(cells) <= 4 for cells in config.cell_map().values())
 
 
 def test_density_target_stops_early():
@@ -111,7 +111,7 @@ def test_density_target_stops_early():
 
 def test_zero_density_target_is_empty():
     config = random_packing(0, PackingSpec(target_density=0.0))
-    assert config == Configuration.from_placements(())
+    assert config == Configuration.from_cell_map({})
 
 
 def test_restrictive_filter_can_exhaust_the_pool():

@@ -27,7 +27,7 @@ from polylock import (
     replay_trace,
     slide_dependency,
 )
-from polylock.grid import is_connected, sweep_collides, translate_cells
+from polylock.grid import is_connected, occupied_cells, sweep_collides, translate_cells
 from polylock.instances import (
     case4_group,
     keyhole_pair,
@@ -54,7 +54,9 @@ def _config(**pieces):
 
 def _without(config, piece_ids):
     gone = set(piece_ids)
-    return Configuration(tuple(p for p in config.placements if p.piece_id not in gone))
+    return Configuration.from_cell_map(
+        {pid: cells for pid, cells in config.cell_map().items() if pid not in gone}
+    )
 
 
 def _snug_box():
@@ -80,6 +82,8 @@ class TestSearchBudget:
             {"max_states": -5},
             {"mode": "diagonal"},
             {"subset_cap": 0},
+            {"max_states": True},
+            {"subset_cap": True},
         ],
     )
     def test_rejects_bad_limits(self, kwargs):
@@ -203,7 +207,7 @@ class TestEscapeSearch:
 
     def test_empty_configuration_rejected(self):
         with pytest.raises(ValueError):
-            escape_search(Configuration.from_placements([]), SearchBudget())
+            escape_search(Configuration.from_cell_map({}), SearchBudget())
 
     @given(dx=st.integers(-30, 30), dy=st.integers(-30, 30))
     @settings(max_examples=25, deadline=None)
@@ -387,7 +391,7 @@ def _oracle_search(config, radius, mode, key=None, displacement=None):
     min_x, min_y, max_x, max_y = config.bounding_box()
     arena = (min_x - radius, min_y - radius, max_x + radius, max_y + radius)
     reach = max(max_x - min_x, max_y - min_y) + 2 * radius + 1
-    origin = min(cell for p in config.placements for cell in p.cells)
+    origin = min(occupied_cells(config))
     largest = 1 if mode == SINGLE_PIECE else min(DEFAULT_SUBSET_CAP, len(ids))
     move_sets = [
         combo
@@ -433,22 +437,21 @@ def _oracle_search(config, radius, mode, key=None, displacement=None):
                 continue
             for direction in DIRECTIONS:
                 ddx, ddy = direction.value
-                stepped = [
-                    p.moved(ddx, ddy) if p.piece_id in combo else p
-                    for p in board.placements
-                ]
-                low_x, low_y = min(cell for p in stepped for cell in p.cells)
+                stepped = {
+                    pid: translate_cells(piece, ddx, ddy) if pid in combo else piece
+                    for pid, piece in cells.items()
+                }
+                low_x, low_y = min(cell for piece in stepped.values() for cell in piece)
                 shift = (origin[0] - low_x, origin[1] - low_y)
                 try:
-                    moved = Configuration.from_placements(
-                        p.moved(*shift) for p in stepped
+                    moved = Configuration.from_cell_map(
+                        {pid: translate_cells(p, *shift) for pid, p in stepped.items()}
                     )
                 except OverlapError:
                     continue
                 if not all(
                     arena[0] <= x <= arena[2] and arena[1] <= y <= arena[3]
-                    for p in moved.placements
-                    for x, y in p.cells
+                    for x, y in occupied_cells(moved)
                 ):
                     continue
                 state = frozenset(moved.cell_map().items())
@@ -498,9 +501,9 @@ class TestPlainBfsOracle:
             target_density=density,
         )
         config = random_packing(seed, spec)
-        assume(config.placements)
+        assume(len(config) > 0)
         budget = SearchBudget(radius=radius, max_states=1_000_000, mode=mode)
-        key = sorted(config.piece_ids())[key_index % len(config.placements)]
+        key = sorted(config.piece_ids())[key_index % len(config)]
 
         escape = _oracle_search(config, radius, mode)
         reach = _oracle_search(config, radius, mode, key, displacement)
@@ -661,7 +664,7 @@ class TestEscapeAtOracle:
             width=side, height=side, max_pieces=8, max_cells=5, target_density=density
         )
         config = random_packing(seed, spec)
-        assume(config.placements)
+        assume(len(config) > 0)
         for got, expected in _escape_pairs(config, mode, steps=2):
             assert got == expected
 
@@ -731,7 +734,7 @@ class TestBitboardOracle:
             width=side, height=side, max_pieces=8, max_cells=5, target_density=density
         )
         config = random_packing(seed, spec)
-        assume(config.placements)
+        assume(len(config) > 0)
         engine = _Engine(config, radius=0)
         for offsets in _states_near_start(engine, mode, steps=2):
             _check_against_cell_sets(engine, offsets, mode, cap)
@@ -746,7 +749,7 @@ class TestBitboardOracle:
         # overlapping pieces included: both sides read `occupied - moving`
         spec = PackingSpec(width=5, height=5, max_pieces=6, max_cells=4)
         config = random_packing(seed, spec)
-        assume(config.placements)
+        assume(len(config) > 0)
         engine = _Engine(config, radius=0)
         offsets = tuple(
             data.draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
@@ -819,7 +822,7 @@ class TestPlannerAgreement:
             width=8, height=8, max_pieces=4, max_cells=4, target_density=1.0
         )
         config = random_packing(seed, spec)
-        if not config.placements:
+        if len(config) == 0:
             pytest.skip("empty packing for this seed")
         plan = separate_le5(config)
         assert simulate_plan(config, plan).valid

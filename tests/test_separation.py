@@ -59,7 +59,9 @@ POS_X, NEG_X, POS_Y, NEG_Y = (
 
 def _without(config, piece_ids):
     gone = set(piece_ids)
-    return Configuration(tuple(p for p in config.placements if p.piece_id not in gone))
+    return Configuration.from_cell_map(
+        {pid: cells for pid, cells in config.cell_map().items() if pid not in gone}
+    )
 
 
 def _covered(plan):
@@ -462,7 +464,7 @@ def test_separate_case4_group_exits_vertically():
 
 
 def test_separate_empty_config():
-    config = Configuration.from_placements(())
+    config = Configuration.from_cell_map({})
     plan = separate_le5(config)
     assert plan.moves == ()
     assert simulate_plan(config, plan).valid
@@ -477,11 +479,56 @@ def test_separate_random_small_systems(seed):
     assert _covered(plan) == frozenset(config.piece_ids())
 
 
+def _box_partitions(width, height, max_cells):
+    """Every partition of the width x height box into edge-connected pieces
+    of at most `max_cells` cells, written with no polylock code: the piece
+    holding the smallest free cell is each connected set of free cells
+    that contains it, grown one neighbour at a time."""
+
+    def pieces_at(cell, free):
+        found, level = set(), {frozenset([cell])}
+        while level:
+            found |= level
+            level = {
+                piece | {nb}
+                for piece in level
+                if len(piece) < max_cells
+                for x, y in piece
+                for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+                if nb in free and nb not in piece
+            }
+        return found
+
+    def extend(free):
+        if not free:
+            yield []
+            return
+        for piece in pieces_at(min(free), free):
+            for rest in extend(free - piece):
+                yield [piece, *rest]
+
+    return list(extend(frozenset(itertools.product(range(width), range(height)))))
+
+
+def test_separate_le5_plans_every_partition_of_the_3x3_box():
+    """The paper's theorem on every board of a full 3x3 box: pieces of at
+    most 5 cells never interlock, so each board gets a plan that replays."""
+    boards = _box_partitions(3, 3, 5)
+    assert len(boards) == 1260
+    grouped = 0
+    for pieces in boards:
+        config = Configuration.from_cell_map({f"P{i}": c for i, c in enumerate(pieces)})
+        grouped += any(len(group) > 1 for group in group_le5(config))
+        assert simulate_plan(config, separate_le5(config)).valid, pieces
+    # some board bundles a U with its pocket filler, so grouping is exercised
+    assert grouped >= 1
+
+
 # ---------------------------------------------------------------- simulate
 
 
 def test_simulate_empty_plan_on_empty_config():
-    report = simulate_plan(Configuration.from_placements(()), SeparationPlan(()))
+    report = simulate_plan(Configuration.from_cell_map({}), SeparationPlan(()))
     assert report.valid
     assert report.leftover == frozenset()
 

@@ -38,7 +38,7 @@ class TestRenderSvg:
         assert first.encode() == second.encode()
 
     def test_empty_configuration_gets_minimal_canvas(self):
-        svg_text = render_svg(Configuration.from_placements([]))
+        svg_text = render_svg(Configuration.from_cell_map({}))
         root = _document(svg_text).documentElement
         assert root.getAttribute("viewBox") == "0 0 20 20"
         assert not _elements(svg_text, "path")
