@@ -7,8 +7,8 @@ translation by whole cells, so the continuous sweep of a piece reduces to
 checking the integer stations along the way.
 
 `Polyomino(...)` checks every cell; the shapes derived from a valid one
-(`canonicalize`, `canonical_free_form`, `fixed_orientations`,
-`enumerate_free`) are built unchecked by `_trusted`. Symmetry images are
+(`canonical_free_form`, `fixed_orientations`, `enumerate_free`) are built
+unchecked by `_trusted`. Symmetry images are
 compared as integer keys (`_image_keys`), whose largest value is the
 canonical free form, and enumeration dedups on them.
 
@@ -223,11 +223,6 @@ def _decode(key: int, s: int) -> frozenset[Cell]:
     bits = f"{key:b}"  # bit s*s - v, for v = a*s + b, is character v - base
     base = s * s + 1 - len(bits)
     return frozenset(divmod(base + one.start(), s) for one in re.finditer("1", bits))
-
-
-def canonicalize(shape: Polyomino) -> Polyomino:
-    """Translate the shape so its bounding box corner sits at the origin."""
-    return _trusted(translate_cells(shape.cells, -shape.min_x, -shape.min_y))
 
 
 def canonical_free_form(shape: Polyomino) -> Polyomino:

@@ -25,11 +25,15 @@ The arena test reads the shifted bounding boxes: a piece lies inside the
 arena rectangle exactly when its bounding box does. Moves and escapes are
 tested on Python-int bitboards, one mask per piece per state, laid out over
 the union of the pieces' shifted boxes (see `_Engine`). A unit move is
-legal when the moving mask's step meets no other piece's bit; subset mode
-grows its connected move sets from the pieces' contact graph with ESU; and
-a set escapes when a Kogge-Stone ray fill of its mask meets no other
-piece's bit. The masks grow with the arena, so its area is capped at
-`MAX_ARENA_CELLS`. `slide_dependency` reads `Configuration.owner`.
+legal when the moving mask's step meets no other piece's bit, and a set
+escapes when a Kogge-Stone ray fill of its mask meets no other piece's
+bit. Subset mode builds only the sets that can move, as unions of one-step
+closures (a set can step exactly when it holds every piece its step hits),
+and prunes escapes by ray closures likewise. The exact fallback, which
+grows every connected set with ESU and tests it, runs only where an escape
+may exist and for overlapping offsets. The masks grow with the arena, so
+its area is capped at `MAX_ARENA_CELLS`. `slide_dependency` reads
+`Configuration.owner`.
 """
 
 from __future__ import annotations
@@ -127,6 +131,21 @@ def _piece_indices(bits: int, count: int) -> tuple[int, ...]:
     return tuple(found)
 
 
+def _shifted(
+    offsets: tuple[Cell, ...], combo: tuple[int, ...], direction: Direction
+) -> tuple[Cell, ...]:
+    """The offsets after the pieces in `combo` take one step along `direction`."""
+    dx, dy = direction.dx, direction.dy
+    if len(combo) == 1:
+        i = combo[0]
+        ox, oy = offsets[i]
+        return offsets[:i] + ((ox + dx, oy + dy),) + offsets[i + 1:]
+    return tuple(
+        (ox + dx, oy + dy) if i in combo else (ox, oy)
+        for i, (ox, oy) in enumerate(offsets)
+    )
+
+
 def _slide_blocked(moving: int, others: int, direction: Direction, geometry) -> bool:
     """Does the `moving` mask, slid to infinity, meet a bit of `others`?
 
@@ -150,6 +169,79 @@ def _slide_blocked(moving: int, others: int, direction: Direction, geometry) -> 
             if fill & others:
                 return True
     return False
+
+
+def _ray_fill(moving: int, direction: Direction, geometry) -> int:
+    """Every cell the `moving` mask sweeps, slid along `direction` to the box edge.
+
+    The same Kogge-Stone rounds as `_slide_blocked`, all of them.
+    """
+    _, x_rounds, y_shifts = geometry
+    fill = moving
+    if direction.axis == "x":
+        if direction.sign > 0:
+            for shift, ahead, _ in x_rounds:
+                fill |= (fill << shift) & ahead
+        else:
+            for shift, _, behind in x_rounds:
+                fill |= (fill >> shift) & behind
+    elif direction.sign > 0:
+        for shift in y_shifts:
+            fill |= fill << shift
+    else:
+        for shift in y_shifts:
+            fill |= fill >> shift
+    return fill
+
+
+def _closures(successors, count: int, limit: int) -> list[int]:
+    """Each piece's closure under a relation, or 0 where it passes `limit` pieces.
+
+    Piece p is bit p here, and `successors[p]` is the bit set p relates to.
+    A closure that reaches a piece whose closure is already known to be too
+    large is too large as well.
+    """
+    closures = []
+    large = 0
+    for p in range(count):
+        closed = new = 1 << p
+        while new:
+            if new & large or closed.bit_count() > limit:
+                large |= 1 << p
+                closed = 0
+                break
+            reach = 0
+            while new:
+                low = new & -new
+                new ^= low
+                reach |= successors[low.bit_length() - 1]
+            new = reach & ~closed
+            closed |= new
+        closures.append(closed)
+    return closures
+
+
+class _RayBlockers(dict):
+    """Piece p -> the bit set of pieces (piece q is bit q) that p's ray fill
+    along a direction meets, filled in as closures reach p."""
+
+    def __init__(self, masks: list[int], occupied: int, direction: Direction, geometry):
+        super().__init__()
+        self.masks = masks
+        self.occupied = occupied
+        self.direction = direction
+        self.geometry = geometry
+
+    def __missing__(self, p: int) -> int:
+        mask = self.masks[p]
+        fill = _ray_fill(mask, self.direction, self.geometry) & (self.occupied ^ mask)
+        hit = 0
+        if fill:
+            for q, other in enumerate(self.masks):
+                if fill & other:
+                    hit |= 1 << q
+        self[p] = hit
+        return hit
 
 
 def _box_geometry(width: int, height: int) -> tuple:
@@ -203,18 +295,26 @@ class _Engine:
     strips and shifted to the piece's box corner in each state.
 
     * A unit move of the moving mask m is legal when the step of m meets
-      no bit of occupied ^ m.
-    * Contact subsets (subset mode) come from the contact graph: each
-      piece's one-step halo is tested against every later piece's mask.
-      ESU (Wernicke 2006) grows every connected set of 2..cap pieces once,
-      from its smallest index, extending only by larger indices and by
-      neighbours no earlier member already touches. The sets are sorted
-      by (size, index tuple), the order the BFS has always used, so state
-      counts and traces do not depend on the enumeration.
+      no bit of occupied ^ m. Single-piece mode tests each piece so.
+    * Subset-mode move sets come from one-step closures (`_closed_sets`):
+      a set can step along d exactly when it is closed under "p's step
+      along d hits q", so only the sets that can move are built, as unions
+      of per-piece closures grown over the contact graph (each piece's
+      one-step halo tested against every later piece's mask).
     * A set escapes along a direction when the ray fill of its mask across
       the box (`_slide_blocked`) meets no other piece's bit: a cell ahead
       in a lane of a moving cell blocks the slide, and no cell lies
-      outside the box.
+      outside the box. In subset mode, ray closures (`_may_escape`) first
+      rule out states where no set of at most cap pieces can escape.
+    * The exact pass behind every escape that may exist, and behind the
+      moves of states whose masks overlap (which the BFS never reaches),
+      tests the contact subsets one by one (`_contact_subsets`): ESU
+      (Wernicke 2006) grows every connected set of 2..cap pieces once, from
+      its smallest index, extending only by larger indices and by
+      neighbours no earlier member already touches.
+    * Every path orders move sets by (size, index tuple), the order the BFS
+      has always used, and directions as in `DIRECTIONS`, so state counts
+      and traces do not depend on the enumeration.
     """
 
     def __init__(self, config: Configuration, radius: int, key_piece: str | None = None):
@@ -222,6 +322,7 @@ class _Engine:
         self.index = {pid: i for i, pid in enumerate(self.ids)}
         self.base_cells = tuple(tuple(sorted(config.cells_of(pid))) for pid in self.ids)
         self.anchors = tuple(cells[0] for cells in self.base_cells)
+        self.cell_count = sum(map(len, self.base_cells))
         # sorted cells start and end on the piece's x bounds
         self.boxes = tuple(
             (cells[0][0], min(y for _, y in cells), cells[-1][0], max(y for _, y in cells))
@@ -387,6 +488,70 @@ class _Engine:
             return singles
         return singles + self._contact_subsets(masks, stride, cap)
 
+    def _closed_sets(
+        self, masks: list[int], stride: int, cap: int
+    ) -> list[tuple[int, list[Direction]]]:
+        """(set bits, directions) of each move set that can take a unit step.
+
+        The masks must be disjoint. A set can step along d exactly when it
+        holds every piece that its members' steps along d hit: it is closed
+        under "p's step hits q". So it is the union of its members'
+        closures, and each closure is contact-connected, since a step only
+        hits a touching piece. Growing unions from every closure of at most
+        cap pieces, adding the closure of one touching piece at a time,
+        reaches every closed connected set of at most cap pieces, singles
+        included. The sets come in `_move_sets` order: by size, then by
+        index tuple; piece i is bit count - 1 - i.
+        """
+        count = len(masks)
+        limit = min(cap, count)
+        by_bit = masks[::-1]
+        touching = [0] * count
+        # hits[k][p]: the pieces that p's step along DIRECTIONS[k] hits
+        hits = [[0] * count for _ in DIRECTIONS]
+        for p, mask in enumerate(by_bit):
+            steps = (mask << 1, mask >> 1, mask << stride, mask >> stride)
+            halo = steps[0] | steps[1] | steps[2] | steps[3]
+            for q in range(p + 1, count):
+                other = by_bit[q]
+                if halo & other:
+                    touching[p] |= 1 << q
+                    touching[q] |= 1 << p
+                    for k, step in enumerate(steps):
+                        if step & other:
+                            hits[k][p] |= 1 << q
+                            # directions pair up as k, k ^ 1
+                            hits[k ^ 1][q] |= 1 << p
+        found: dict[int, list[Direction]] = {}
+        for direction, relation in zip(DIRECTIONS, hits):
+            closures = _closures(relation, count, limit)
+            level = set(closures)
+            level.discard(0)
+            seen = set()
+            while level:
+                seen |= level
+                grown = set()
+                for bits in level:
+                    near = 0
+                    rest = bits
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        near |= touching[low.bit_length() - 1]
+                    near &= ~bits
+                    while near:
+                        low = near & -near
+                        near ^= low
+                        closure = closures[low.bit_length() - 1]
+                        if closure:
+                            union = bits | closure
+                            if union.bit_count() <= limit and union not in seen:
+                                grown.add(union)
+                level = grown
+            for bits in seen:
+                found.setdefault(bits, []).append(direction)
+        return sorted(found.items(), key=lambda item: (item[0].bit_count(), -item[0]))
+
     def unit_moves(
         self, offsets: tuple[Cell, ...], mode: str, cap: int
     ) -> Iterator[tuple[frozenset[str], Direction, tuple[Cell, ...]]]:
@@ -394,6 +559,14 @@ class _Engine:
         occupied = 0
         for mask in masks:
             occupied |= mask
+        # overlapping masks (never reached by the BFS) take the set-by-set path
+        if mode == SUBSET_MOVE and occupied.bit_count() == self.cell_count:
+            for bits, directions in self._closed_sets(masks, stride, cap):
+                combo = _piece_indices(bits, len(masks))
+                names = frozenset(self.ids[i] for i in combo)
+                for direction in directions:
+                    yield names, direction, _shifted(offsets, combo, direction)
+            return
         for bits, moving in self._move_sets(masks, stride, mode, cap):
             others = occupied ^ moving
             hits = (
@@ -411,17 +584,30 @@ class _Engine:
                 if combo is None:
                     combo = _piece_indices(bits, len(masks))
                     names = frozenset(self.ids[i] for i in combo)
-                dx, dy = direction.dx, direction.dy
-                if len(combo) == 1:
-                    i = combo[0]
-                    ox, oy = offsets[i]
-                    moved = offsets[:i] + ((ox + dx, oy + dy),) + offsets[i + 1:]
-                else:
-                    moved = tuple(
-                        (ox + dx, oy + dy) if i in combo else (ox, oy)
-                        for i, (ox, oy) in enumerate(offsets)
-                    )
-                yield names, direction, moved
+                yield names, direction, _shifted(offsets, combo, direction)
+
+    def _may_escape(
+        self, masks: list[int], occupied: int, geometry: tuple, cap: int
+    ) -> bool:
+        """Is some ray closure of at most cap pieces short of the whole board?
+
+        The ray fill of a union is the union of its members' fills, so a
+        set escapes along d only when it holds every piece its members'
+        fills meet: it is closed under that relation and holds each
+        member's closure. When no closure is small enough and proper, no
+        move set escapes. The masks must be disjoint: a non-member that
+        shares a member's cell does not block the set, yet would be counted
+        as a blocker. Each piece's fill is built only when a closure
+        reaches it.
+        """
+        count = len(masks)
+        whole = (1 << count) - 1 if count > 1 else 0
+        for direction in DIRECTIONS:
+            blockers = _RayBlockers(masks, occupied, direction, geometry)
+            for closure in _closures(blockers, count, cap):
+                if closure and closure != whole:
+                    return True
+        return False
 
     def escape_at(
         self, offsets: tuple[Cell, ...], mode: str, cap: int
@@ -431,6 +617,12 @@ class _Engine:
         occupied = 0
         for mask in masks:
             occupied |= mask
+        if (
+            mode == SUBSET_MOVE
+            and occupied.bit_count() == self.cell_count
+            and not self._may_escape(masks, occupied, geometry, cap)
+        ):
+            return None
         # the whole system drifting away is no escape (unless it is one piece)
         whole = (1 << len(masks)) - 1 if len(masks) > 1 else 0
         for bits, moving in self._move_sets(masks, geometry[0], mode, cap):

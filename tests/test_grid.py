@@ -28,7 +28,6 @@ from polylock.grid import (
     OverlapError,
     Polyomino,
     canonical_free_form,
-    canonicalize,
     enumerate_free,
     fixed_orientations,
     neighbors,
@@ -166,29 +165,8 @@ def test_non_integer_cells_rejected():
 
 
 # --------------------------------------------------------------------------
-# canonicalize / canonical_free_form
+# canonical_free_form
 # --------------------------------------------------------------------------
-
-
-def test_canonicalize_monomino():
-    assert canonicalize(Polyomino(frozenset({(5, 5)}))).cells == frozenset({(0, 0)})
-
-
-def test_canonicalize_negative_offsets():
-    shape = Polyomino(frozenset({(-2, -3), (-1, -3)}))
-    assert canonicalize(shape).cells == frozenset({(0, 0), (1, 0)})
-
-
-@given(polyominoes(), st.integers(-50, 50), st.integers(-50, 50))
-def test_canonicalize_translation_invariant(shape, dx, dy):
-    moved = Polyomino(translate_cells(shape.cells, dx, dy))
-    assert canonicalize(moved) == canonicalize(shape)
-
-
-@given(polyominoes())
-def test_canonicalize_idempotent(shape):
-    once = canonicalize(shape)
-    assert canonicalize(once) == once
 
 
 def test_canonical_free_form_identifies_rotations():
@@ -314,7 +292,6 @@ def test_derived_shapes_pass_the_public_checks():
             for oriented in fixed_orientations(free):
                 _revalidated(oriented)
                 moved = Polyomino(translate_cells(oriented.cells, -7, 4))
-                _revalidated(canonicalize(moved))
                 _revalidated(canonical_free_form(moved))
 
 

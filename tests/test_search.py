@@ -713,6 +713,72 @@ def _check_against_cell_sets(engine, offsets, mode, cap):
     )
 
 
+def _framed_tray(side, *holes):
+    """A side x side block of unit tiles in a square frame, `holes` empty."""
+    frame = [
+        (x, y)
+        for x in range(side + 2)
+        for y in range(side + 2)
+        if x in (0, side + 1) or y in (0, side + 1)
+    ]
+    interior = [(x, y) for y in range(1, side + 1) for x in range(1, side + 1)]
+    tiles = {
+        f"T{i:02d}": [cell]
+        for i, cell in enumerate(c for c in interior if c not in holes)
+    }
+    return _config(F=frame, **tiles)
+
+
+def _doored_tray():
+    """`mutual_u_pair` between two bars in a 4x5 tray whose frame has a door.
+
+    Each U blocks the other's every slide, and the bars pin the frame. So
+    no single piece escapes: the pair leaves through the door in the right
+    wall, and the frame with both bars leaves the other way.
+    """
+    frame = [
+        (x, y)
+        for x in range(6)
+        for y in range(7)
+        if (x in (0, 5) or y in (0, 6)) and (x, y) not in ((5, 2), (5, 3), (5, 4))
+    ]
+    pair = {
+        pid: translate_cells(cells, 1, 2)
+        for pid, cells in mutual_u_pair().cell_map().items()
+    }
+    bars = {"R": [(x, 1) for x in range(1, 5)], "S": [(x, 5) for x in range(1, 5)]}
+    return _config(F=frame, **bars, **pair)
+
+
+def _tray_corpus():
+    """(tray, whether its frame is closed): framed 3x3-5x5 trays of unit
+    tiles with one, two or six holes, and the doored tray."""
+    closed = [
+        _framed_tray(3, (3, 3)),
+        _framed_tray(3, (1, 1), (3, 3)),
+        # three tiles and the frame: at cap 4 every closure is the whole board
+        _framed_tray(3, (2, 1), (3, 1), (1, 2), (3, 2), (1, 3), (3, 3)),
+        _framed_tray(4, (4, 4)),
+        _framed_tray(5, (5, 5)),
+    ]
+    return [(tray, True) for tray in closed] + [(_doored_tray(), False)]
+
+
+def _bfs_states(engine, mode, cap):
+    """Every state the BFS reaches inside the arena, in BFS order."""
+    start = tuple((0, 0) for _ in engine.ids)
+    seen = {engine.state_key(start)}
+    states = [start]
+    for offsets in states:
+        for _, _, moved in engine.unit_moves(offsets, mode, cap):
+            moved = engine.normalize(moved)
+            key = engine.state_key(moved)
+            if engine.in_arena(moved) and key not in seen:
+                seen.add(key)
+                states.append(moved)
+    return states
+
+
 class TestBitboardOracle:
     """The bitboard engine against the cell-set code it replaced.
 
@@ -760,6 +826,39 @@ class TestBitboardOracle:
             _cell_set_unit_moves(engine, offsets, mode, cap)
         )
 
+    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
+    @given(
+        seed=st.integers(0, 10_000),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_escape_at_matches_on_any_offsets(self, mode, seed, data):
+        # overlapping pieces included: the ray closures would count a piece
+        # under a moving one as a blocker, so the exact pass serves them
+        spec = PackingSpec(width=5, height=5, max_pieces=6, max_cells=4)
+        config = random_packing(seed, spec)
+        assume(len(config) > 0)
+        engine = _Engine(config, radius=0)
+        offsets = tuple(
+            data.draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+            for _ in engine.ids
+        )
+        cap = data.draw(st.integers(1, 4))
+        assert engine.escape_at(offsets, mode, cap) == _pairwise_escape_at(
+            engine, offsets, mode, cap
+        )
+
+    def test_overlapping_offsets_take_the_exact_pass(self):
+        # X moved onto B's cell in A's +x lane (never a BFS state) blocks
+        # neither, but it would sit in A's ray closure and at cap 2 rule
+        # out the pair's escape
+        config = _config(**_doored_tray().cell_map(), X=[(4, 2)])
+        engine = _Engine(config, radius=0)
+        offsets = tuple((-2, 1) if pid == "X" else (0, 0) for pid in engine.ids)
+        expected = (frozenset({"A", "B"}), POS_X)
+        assert _pairwise_escape_at(engine, offsets, SUBSET_MOVE, 2) == expected
+        assert engine.escape_at(offsets, SUBSET_MOVE, 2) == expected
+
     @pytest.mark.parametrize("cap", [1, 2, DEFAULT_SUBSET_CAP])
     def test_tray_with_key_matches(self, cap):
         # the frame touches every tile, so the contact graph is dense
@@ -771,6 +870,33 @@ class TestBitboardOracle:
             _check_against_cell_sets(engine, offsets, SUBSET_MOVE, cap)
             sizes.update(map(len, _engine_subsets(engine, offsets, cap)))
         assert sizes == set(range(2, cap + 1))
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, DEFAULT_SUBSET_CAP])
+    def test_trays_match_in_every_state(self, cap):
+        # subset mode's move sets are closures and its escapes are pruned
+        # by ray closures; the exact pass serves what may escape
+        pruned = escapes = 0
+        sizes = set()
+        for config, closed in _tray_corpus():
+            engine = _Engine(config, radius=0)
+            for offsets in _bfs_states(engine, SUBSET_MOVE, cap):
+                _check_against_cell_sets(engine, offsets, SUBSET_MOVE, cap)
+                masks, geometry = engine._layout(offsets)
+                occupied = 0
+                for mask in masks:
+                    occupied |= mask
+                may_escape = engine._may_escape(masks, occupied, geometry, cap)
+                # every ray meets a closed frame, and the frame's meet every tile
+                assert not (closed and may_escape)
+                pruned += not may_escape
+                escape = engine.escape_at(offsets, SUBSET_MOVE, cap)
+                escapes += escape is not None and len(escape[0]) > 1
+                sizes.update(
+                    len(ids) for ids, _, _ in engine.unit_moves(offsets, SUBSET_MOVE, cap)
+                )
+        assert pruned > 0
+        assert (escapes > 0) == (cap > 1)
+        assert sizes == set(range(1, cap + 1))
 
     @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
     def test_named_instances_match_outside_the_arena(self, mode):
@@ -785,17 +911,18 @@ class TestBitboardOracle:
         assert outside > 0
 
 
-def _framed_tray(side, hole):
-    """A side x side block of unit tiles in a square frame, one cell empty."""
-    frame = [
-        (x, y)
-        for x in range(side + 2)
-        for y in range(side + 2)
-        if x in (0, side + 1) or y in (0, side + 1)
-    ]
-    interior = [(x, y) for y in range(1, side + 1) for x in range(1, side + 1)]
-    tiles = {f"T{i:02d}": [cell] for i, cell in enumerate(c for c in interior if c != hole)}
-    return _config(F=frame, **tiles)
+def _count_contact_subsets(monkeypatch):
+    """Count `_Engine._contact_subsets` calls from here on; returns the list
+    each call appends to."""
+    calls = []
+    original = _Engine._contact_subsets
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(_Engine, "_contact_subsets", counted)
+    return calls
 
 
 class TestStateCounts:
@@ -813,6 +940,24 @@ class TestStateCounts:
         assert answer.outcome == "reachable"
         assert answer.states_explored == 226
         assert replay_trace(config, answer.trace).cells_of("K") == frozenset({(4, 4)})
+
+    def test_framed_6x6_subset_tray_is_locked_after_36_states(self, monkeypatch):
+        # ray closures rule out every escape of a locked tray, so subset
+        # mode never enumerates its contact subsets there
+        calls = _count_contact_subsets(monkeypatch)
+        budget = SearchBudget(radius=2, mode=SUBSET_MOVE)
+        verdict = escape_search(_framed_tray(6, (6, 6)), budget)
+        assert verdict.outcome == "locked-within-budget"
+        assert verdict.states_explored == 36
+        assert calls == []
+
+    def test_subset_tray_with_key_is_locked_after_16_states(self, monkeypatch):
+        calls = _count_contact_subsets(monkeypatch)
+        budget = SearchBudget(radius=1, max_states=200, mode=SUBSET_MOVE)
+        verdict = escape_search(tray_with_key(), budget)
+        assert verdict.outcome == "locked-within-budget"
+        assert verdict.states_explored == 16
+        assert calls == []
 
 
 class TestPlannerAgreement:
