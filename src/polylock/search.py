@@ -27,12 +27,11 @@ tested on Python-int bitboards, one mask per piece per state, laid out over
 the union of the pieces' shifted boxes (see `_Engine`). A unit move is
 legal when the moving mask's step meets no other piece's bit, and a set
 escapes when a Kogge-Stone ray fill of its mask meets no other piece's
-bit. Subset mode builds only the sets that can move, as unions of one-step
-closures (a set can step exactly when it holds every piece its step hits),
-and prunes escapes by ray closures likewise. The exact fallback, which
-grows every connected set with ESU and tests it, runs only where an escape
-may exist and for overlapping offsets. The masks grow with the arena, so
-its area is capped at `MAX_ARENA_CELLS`. `slide_dependency` reads
+bit. Subset mode builds only the sets that can move or escape: a set can
+step (or escape) along d exactly when it holds every piece its members'
+steps (or ray fills) meet, so it is a union of per-piece closures, grown
+over the contact graph by `_closed_sets`. The masks grow with the arena,
+so its area is capped at `MAX_ARENA_CELLS`. `slide_dependency` reads
 `Configuration.owner`.
 """
 
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterator
 
 from .grid import DIRECTIONS, Cell, Configuration, Direction, translate_cells
@@ -221,6 +219,91 @@ def _closures(successors, count: int, limit: int) -> list[int]:
     return closures
 
 
+def _reach(bits: int, relation) -> int:
+    """The union of `relation[p]` over the pieces p (bit p) of `bits`."""
+    reach = 0
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        reach |= relation[low.bit_length() - 1]
+    return reach
+
+
+def _contacts(by_bit: list[int], stride: int) -> tuple[list[int], list[list[int]]]:
+    """(touching, hits) of masks given with piece p as bit p.
+
+    touching[p] is the bit set of pieces edge-adjacent to p, and
+    hits[k][p] the pieces that p's unit step along DIRECTIONS[k] meets.
+    Each piece's one-step halo is tested against every later mask.
+    """
+    count = len(by_bit)
+    touching = [0] * count
+    hits = [[0] * count for _ in DIRECTIONS]
+    for p, mask in enumerate(by_bit):
+        steps = (mask << 1, mask >> 1, mask << stride, mask >> stride)
+        halo = steps[0] | steps[1] | steps[2] | steps[3]
+        for q in range(p + 1, count):
+            other = by_bit[q]
+            if halo & other:
+                touching[p] |= 1 << q
+                touching[q] |= 1 << p
+                for k, step in enumerate(steps):
+                    if step & other:
+                        hits[k][p] |= 1 << q
+                        # directions pair up as k, k ^ 1
+                        hits[k ^ 1][q] |= 1 << p
+    return touching, hits
+
+
+def _connected(bits: int, touching: list[int]) -> bool:
+    """Does the contact graph connect the pieces of `bits`?"""
+    reached = new = bits & -bits
+    while new:
+        new = _reach(new, touching) & bits & ~reached
+        reached |= new
+    return reached == bits
+
+
+def _closed_sets(
+    closures: list[list[int]], touching: list[int], limit: int
+) -> list[tuple[int, list[Direction]]]:
+    """(set bits, directions) of the unions of closures of at most `limit`
+    pieces, grown one touching piece's closure at a time.
+
+    `closures[k][p]` is piece p's closure under a relation for
+    DIRECTIONS[k], or 0 where it passes the limit. A set closed under the
+    relation holds each member's closure, so it is the union of them. If
+    it is also contact-connected, it is reached: from any member's closure,
+    a member outside the union touches it, and adding that member's closure
+    stays inside the set. Unions that are not connected are kept too, as
+    steps towards ones that are. The sets come by size, then by index
+    tuple (piece i is bit count - 1 - i), each with its directions in
+    `DIRECTIONS` order.
+    """
+    found: dict[int, list[Direction]] = {}
+    for direction, row in zip(DIRECTIONS, closures):
+        level = set(row)
+        level.discard(0)
+        seen = set()
+        while level:
+            seen |= level
+            grown = set()
+            for bits in level:
+                near = _reach(bits, touching) & ~bits
+                while near:
+                    low = near & -near
+                    near ^= low
+                    closure = row[low.bit_length() - 1]
+                    if closure:
+                        union = bits | closure
+                        if union.bit_count() <= limit and union not in seen:
+                            grown.add(union)
+            level = grown
+        for bits in seen:
+            found.setdefault(bits, []).append(direction)
+    return sorted(found.items(), key=lambda item: (item[0].bit_count(), -item[0]))
+
+
 class _RayBlockers(dict):
     """Piece p -> the bit set of pieces (piece q is bit q) that p's ray fill
     along a direction meets, filled in as closures reach p."""
@@ -296,25 +379,24 @@ class _Engine:
 
     * A unit move of the moving mask m is legal when the step of m meets
       no bit of occupied ^ m. Single-piece mode tests each piece so.
-    * Subset-mode move sets come from one-step closures (`_closed_sets`):
-      a set can step along d exactly when it is closed under "p's step
-      along d hits q", so only the sets that can move are built, as unions
-      of per-piece closures grown over the contact graph (each piece's
-      one-step halo tested against every later piece's mask).
     * A set escapes along a direction when the ray fill of its mask across
-      the box (`_slide_blocked`) meets no other piece's bit: a cell ahead
-      in a lane of a moving cell blocks the slide, and no cell lies
-      outside the box. In subset mode, ray closures (`_may_escape`) first
-      rule out states where no set of at most cap pieces can escape.
-    * The exact pass behind every escape that may exist, and behind the
-      moves of states whose masks overlap (which the BFS never reaches),
-      tests the contact subsets one by one (`_contact_subsets`): ESU
-      (Wernicke 2006) grows every connected set of 2..cap pieces once, from
-      its smallest index, extending only by larger indices and by
-      neighbours no earlier member already touches.
-    * Every path orders move sets by (size, index tuple), the order the BFS
-      has always used, and directions as in `DIRECTIONS`, so state counts
-      and traces do not depend on the enumeration.
+      the box meets no other piece's bit: a cell ahead in a lane of a
+      moving cell blocks the slide, and no cell lies outside the box.
+      Single-piece mode tests each piece so (`_slide_blocked`).
+    * Subset mode refuses overlapping masks, which the BFS never makes,
+      and builds its sets with `_closed_sets`. A set of at most cap pieces
+      can step along d exactly when it is connected and closed under "p's
+      step along d meets q" (`_contacts`), and escapes along d exactly
+      when it is connected, closed under "p's ray fill along d meets q"
+      (`_RayBlockers`; the fill of a union is the union of the fills) and,
+      on a board of two pieces or more, not all of them: escape closures
+      are capped one below the piece count. One-step closures are connected, so every move union is; a ray
+      closure need not be, so escapes keep the connected unions only. A
+      state where no ray closure is within the cap has no escape, and its
+      contact graph is never built.
+    * Both modes order sets by (size, index tuple), the order the BFS has
+      always used, and directions as in `DIRECTIONS`, so state counts and
+      traces do not depend on the enumeration.
     """
 
     def __init__(self, config: Configuration, radius: int, key_piece: str | None = None):
@@ -421,153 +503,33 @@ class _Engine:
         ]
         return masks, geometry
 
-    def _contact_subsets(
-        self, masks: list[int], stride: int, cap: int
-    ) -> list[tuple[int, int]]:
-        """(set bits, union mask) of each edge-connected set of 2..cap pieces.
-
-        Sorted by size, then by the ascending tuple of piece indices. Piece
-        i is bit count - 1 - i of a set, so among sets of one size the
-        descending order of their bits is the lexicographic order of their
-        index tuples.
-        """
-        count = len(masks)
-        limit = min(cap, count)
-        if limit < 2:
-            return []
-        by_bit = masks[::-1]
-        touching = [0] * count
-        for p, mask in enumerate(by_bit):
-            halo = (mask << 1) | (mask >> 1) | (mask << stride) | (mask >> stride)
-            for q in range(p + 1, count):
-                if halo & by_bit[q]:
-                    touching[p] |= 1 << q
-                    touching[q] |= 1 << p
-        # ESU, one size at a time: a set's root is its highest bit (its
-        # smallest index), and it grows only by lower bits (larger indices).
-        level = []
-        for p in range(count):
-            below = (1 << p) - 1
-            level.append(
-                (1 << p, by_bit[p], touching[p] & below, touching[p] | 1 << p, below)
-            )
-        subsets: list[tuple[int, int]] = []
-        for _ in range(2, limit + 1):
-            following = []
-            for bits, union, extension, closed, below in level:
-                while extension:
-                    low = extension & -extension
-                    extension ^= low
-                    p = low.bit_length() - 1
-                    near = touching[p]
-                    following.append(
-                        (
-                            bits | low,
-                            union | by_bit[p],
-                            extension | (near & below & ~closed),
-                            closed | near,
-                            below,
-                        )
-                    )
-            following.sort(key=itemgetter(0), reverse=True)
-            subsets += [(bits, union) for bits, union, *_ in following]
-            level = following
-        return subsets
-
-    def _move_sets(
-        self, masks: list[int], stride: int, mode: str, cap: int
-    ) -> list[tuple[int, int]]:
-        """(set bits, union mask) of the sets that may move.
-
-        Single pieces first, then (subset mode) the contact subsets; piece
-        i is bit count - 1 - i.
-        """
-        top = len(masks) - 1
-        singles = [(1 << top - i, mask) for i, mask in enumerate(masks)]
-        if mode != SUBSET_MOVE:
-            return singles
-        return singles + self._contact_subsets(masks, stride, cap)
-
-    def _closed_sets(
-        self, masks: list[int], stride: int, cap: int
-    ) -> list[tuple[int, list[Direction]]]:
-        """(set bits, directions) of each move set that can take a unit step.
-
-        The masks must be disjoint. A set can step along d exactly when it
-        holds every piece that its members' steps along d hit: it is closed
-        under "p's step hits q". So it is the union of its members'
-        closures, and each closure is contact-connected, since a step only
-        hits a touching piece. Growing unions from every closure of at most
-        cap pieces, adding the closure of one touching piece at a time,
-        reaches every closed connected set of at most cap pieces, singles
-        included. The sets come in `_move_sets` order: by size, then by
-        index tuple; piece i is bit count - 1 - i.
-        """
-        count = len(masks)
-        limit = min(cap, count)
-        by_bit = masks[::-1]
-        touching = [0] * count
-        # hits[k][p]: the pieces that p's step along DIRECTIONS[k] hits
-        hits = [[0] * count for _ in DIRECTIONS]
-        for p, mask in enumerate(by_bit):
-            steps = (mask << 1, mask >> 1, mask << stride, mask >> stride)
-            halo = steps[0] | steps[1] | steps[2] | steps[3]
-            for q in range(p + 1, count):
-                other = by_bit[q]
-                if halo & other:
-                    touching[p] |= 1 << q
-                    touching[q] |= 1 << p
-                    for k, step in enumerate(steps):
-                        if step & other:
-                            hits[k][p] |= 1 << q
-                            # directions pair up as k, k ^ 1
-                            hits[k ^ 1][q] |= 1 << p
-        found: dict[int, list[Direction]] = {}
-        for direction, relation in zip(DIRECTIONS, hits):
-            closures = _closures(relation, count, limit)
-            level = set(closures)
-            level.discard(0)
-            seen = set()
-            while level:
-                seen |= level
-                grown = set()
-                for bits in level:
-                    near = 0
-                    rest = bits
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        near |= touching[low.bit_length() - 1]
-                    near &= ~bits
-                    while near:
-                        low = near & -near
-                        near ^= low
-                        closure = closures[low.bit_length() - 1]
-                        if closure:
-                            union = bits | closure
-                            if union.bit_count() <= limit and union not in seen:
-                                grown.add(union)
-                level = grown
-            for bits in seen:
-                found.setdefault(bits, []).append(direction)
-        return sorted(found.items(), key=lambda item: (item[0].bit_count(), -item[0]))
+    def _occupied(self, masks: list[int], mode: str) -> int:
+        """The union of the masks. Subset mode refuses overlapping pieces:
+        a piece under a member would count as a blocker of its set."""
+        occupied = 0
+        for mask in masks:
+            occupied |= mask
+        if mode == SUBSET_MOVE and occupied.bit_count() != self.cell_count:
+            raise ValueError("subset-move mode needs pieces that do not overlap")
+        return occupied
 
     def unit_moves(
         self, offsets: tuple[Cell, ...], mode: str, cap: int
     ) -> Iterator[tuple[frozenset[str], Direction, tuple[Cell, ...]]]:
         masks, (stride, _, _) = self._layout(offsets)
-        occupied = 0
-        for mask in masks:
-            occupied |= mask
-        # overlapping masks (never reached by the BFS) take the set-by-set path
-        if mode == SUBSET_MOVE and occupied.bit_count() == self.cell_count:
-            for bits, directions in self._closed_sets(masks, stride, cap):
-                combo = _piece_indices(bits, len(masks))
+        occupied = self._occupied(masks, mode)
+        count = len(masks)
+        if mode == SUBSET_MOVE:
+            limit = min(cap, count)
+            touching, hits = _contacts(masks[::-1], stride)
+            closures = [_closures(relation, count, limit) for relation in hits]
+            for bits, directions in _closed_sets(closures, touching, limit):
+                combo = _piece_indices(bits, count)
                 names = frozenset(self.ids[i] for i in combo)
                 for direction in directions:
                     yield names, direction, _shifted(offsets, combo, direction)
             return
-        for bits, moving in self._move_sets(masks, stride, mode, cap):
+        for i, moving in enumerate(masks):
             others = occupied ^ moving
             hits = (
                 (moving << 1) & others,
@@ -577,62 +539,40 @@ class _Engine:
             )
             if all(hits):
                 continue
-            combo = None
+            names = frozenset((self.ids[i],))
             for direction, hit in zip(DIRECTIONS, hits):
-                if hit:
-                    continue
-                if combo is None:
-                    combo = _piece_indices(bits, len(masks))
-                    names = frozenset(self.ids[i] for i in combo)
-                yield names, direction, _shifted(offsets, combo, direction)
-
-    def _may_escape(
-        self, masks: list[int], occupied: int, geometry: tuple, cap: int
-    ) -> bool:
-        """Is some ray closure of at most cap pieces short of the whole board?
-
-        The ray fill of a union is the union of its members' fills, so a
-        set escapes along d only when it holds every piece its members'
-        fills meet: it is closed under that relation and holds each
-        member's closure. When no closure is small enough and proper, no
-        move set escapes. The masks must be disjoint: a non-member that
-        shares a member's cell does not block the set, yet would be counted
-        as a blocker. Each piece's fill is built only when a closure
-        reaches it.
-        """
-        count = len(masks)
-        whole = (1 << count) - 1 if count > 1 else 0
-        for direction in DIRECTIONS:
-            blockers = _RayBlockers(masks, occupied, direction, geometry)
-            for closure in _closures(blockers, count, cap):
-                if closure and closure != whole:
-                    return True
-        return False
+                if not hit:
+                    yield names, direction, _shifted(offsets, (i,), direction)
 
     def escape_at(
         self, offsets: tuple[Cell, ...], mode: str, cap: int
     ) -> tuple[frozenset[str], Direction] | None:
         """First piece set whose slide to infinity clears everything else."""
         masks, geometry = self._layout(offsets)
-        occupied = 0
-        for mask in masks:
-            occupied |= mask
-        if (
-            mode == SUBSET_MOVE
-            and occupied.bit_count() == self.cell_count
-            and not self._may_escape(masks, occupied, geometry, cap)
-        ):
+        occupied = self._occupied(masks, mode)
+        if mode != SUBSET_MOVE:
+            for i, moving in enumerate(masks):
+                others = occupied ^ moving
+                for direction in DIRECTIONS:
+                    if not _slide_blocked(moving, others, direction, geometry):
+                        return frozenset((self.ids[i],)), direction
             return None
-        # the whole system drifting away is no escape (unless it is one piece)
-        whole = (1 << len(masks)) - 1 if len(masks) > 1 else 0
-        for bits, moving in self._move_sets(masks, geometry[0], mode, cap):
-            if bits == whole:
-                continue
-            others = occupied ^ moving
-            for direction in DIRECTIONS:
-                if not _slide_blocked(moving, others, direction, geometry):
-                    combo = _piece_indices(bits, len(masks))
-                    return frozenset(self.ids[i] for i in combo), direction
+        count = len(masks)
+        # a proper set: the whole system drifting away is no escape, unless
+        # it is one piece
+        limit = min(cap, max(count - 1, 1))
+        by_bit = masks[::-1]
+        closures = [
+            _closures(_RayBlockers(by_bit, occupied, direction, geometry), count, limit)
+            for direction in DIRECTIONS
+        ]
+        if not any(map(any, closures)):
+            return None
+        touching, _ = _contacts(by_bit, geometry[0])
+        for bits, directions in _closed_sets(closures, touching, limit):
+            if _connected(bits, touching):
+                combo = _piece_indices(bits, count)
+                return frozenset(self.ids[i] for i in combo), directions[0]
         return None
 
 
@@ -642,8 +582,7 @@ def legal_moves(
     subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> list[tuple[frozenset[str], Direction]]:
     """All legal unit moves from a configuration, in deterministic order."""
-    if mode not in (SINGLE_PIECE, SUBSET_MOVE):
-        raise ValueError(f"mode must be {SINGLE_PIECE!r} or {SUBSET_MOVE!r}")
+    SearchBudget(radius=0, mode=mode, subset_cap=subset_cap)  # checks mode and cap
     engine = _Engine(config, radius=0)
     offsets = tuple((0, 0) for _ in engine.ids)
     return [

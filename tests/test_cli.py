@@ -21,6 +21,7 @@ from polylock.instances import (
     z_chain,
 )
 from test_grid import _tuple_enumerate_free
+from test_search import _doored_tray
 
 
 @pytest.fixture
@@ -81,6 +82,24 @@ def test_solve_escape_prints_trace(write, capsys):
     out = capsys.readouterr().out
     assert "escapes: K -y" in out
     assert "move 1: K +x" in out
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        # no single piece can leave either board, so a pair leaves, from
+        # the start state: the trace has no moves
+        (pinwheel, "escapes: A+B -y"),
+        (_doored_tray, "escapes: A+B +x"),
+    ],
+    ids=["pinwheel", "doored_tray"],
+)
+def test_solve_prints_a_subset_escape(build, expected, write, capsys):
+    path = write("board.txt", emit_grid(build()))
+    assert main(["solve", path, "--mode", "subset"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"outcome: escaped\nstates explored: 1\n{expected}\n"
+    assert captured.err == ""
 
 
 def test_solve_budget_exhaustion_exits_three(write, capsys):

@@ -131,9 +131,22 @@ class TestLegalMoves:
         stepped = replay_trace(config, ((frozenset({"Z0"}), NEG_X),))
         assert (frozenset({"Z1"}), NEG_X) in legal_moves(stepped)
 
-    def test_rejects_unknown_mode(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mode": "rigid"},
+            {"subset_cap": 0},
+            {"subset_cap": -1},
+            {"subset_cap": True},
+            {"subset_cap": 2.5},
+            {"subset_cap": "x"},
+            {"mode": SUBSET_MOVE, "subset_cap": 0},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
-            legal_moves(_config(A=[(0, 0)]), mode="rigid")
+            legal_moves(_config(A=[(0, 0)]), **kwargs)
 
 
 class TestEscapeSearch:
@@ -607,6 +620,12 @@ def _cell_set_unit_moves(engine, offsets, mode, cap):
             yield frozenset(engine.ids[i] for i in combo), direction, moved
 
 
+def _overlap(engine, offsets):
+    """Do two pieces share a cell in the state?"""
+    cells = _state_cells(engine, offsets)
+    return sum(map(len, cells)) != len(set().union(*cells))
+
+
 def _pairwise_escape_at(engine, offsets, mode, cap):
     """`escape_at` as it was: sweep each move set against all other cells."""
     cells = _state_cells(engine, offsets)
@@ -683,28 +702,8 @@ class TestEscapeAtOracle:
             assert any(got and len(got[0]) > 1 for got, _ in results)
 
 
-def _engine_subsets(engine, offsets, cap):
-    """The engine's contact subsets as index tuples; checks each union mask."""
-    masks, (stride, _, _) = engine._layout(offsets)
-    subsets = []
-    for bits, union in engine._contact_subsets(masks, stride, cap):
-        # piece i is bit count - 1 - i
-        combo = tuple(i for i in range(len(masks)) if bits >> len(masks) - 1 - i & 1)
-        expected = 0
-        for i in combo:
-            expected |= masks[i]
-        assert union == expected
-        subsets.append(combo)
-    return subsets
-
-
 def _check_against_cell_sets(engine, offsets, mode, cap):
-    """Move sets, unit moves and escapes agree with the cell-set oracles."""
-    cells = _state_cells(engine, offsets)
-    if mode == SUBSET_MOVE:
-        assert _engine_subsets(engine, offsets, cap) == (
-            _combination_contact_subsets(cells, cap)
-        )
+    """Unit moves and escapes agree with the cell-set oracles."""
     assert list(engine.unit_moves(offsets, mode, cap)) == list(
         _cell_set_unit_moves(engine, offsets, mode, cap)
     )
@@ -748,6 +747,37 @@ def _doored_tray():
     }
     bars = {"R": [(x, 1) for x in range(1, 5)], "S": [(x, 5) for x in range(1, 5)]}
     return _config(F=frame, **bars, **pair)
+
+
+def _hooked_pairs_tray():
+    """Two hooked pairs that leave together through a door, though no
+    contact-connected set smaller than all four can leave.
+
+    Along +x, A's rays meet only C and C's only A, though the two never
+    touch, and B and D likewise: so {A, C} and {B, D} are ray closures that
+    are not connected. B lies on A and C, and D on C, so the four are
+    connected. The frame's door spans their rows, and the bars P1, P2
+    (below) and Q1, Q2 (above) hold the frame, so every other ray closure
+    has five pieces or more.
+    """
+    frame = [
+        (x, y)
+        for x in range(-4, 9)
+        for y in range(-2, 9)
+        if (x in (-4, 8) or y in (-2, 8)) and not (x == 8 and 0 <= y <= 6)
+    ]
+    hook = [(3, 2), (3, 1), (3, 0), (2, 0), (1, 0), (0, 0), (-1, 0), (-1, 1), (-1, 2)]
+    return _config(
+        A=[(0, 3), (1, 3), (1, 2)],
+        C=[(x, 3) for x in range(3, 7)] + hook,
+        B=[(x, 4) for x in range(5)],
+        D=[(6, 4), (6, 5)] + [(x, 6) for x in range(-2, 7)] + [(-2, 5), (-2, 4)],
+        F=frame,
+        P1=[(x, -1) for x in range(-3, 2)],
+        P2=[(x, -1) for x in range(2, 8)],
+        Q1=[(x, 7) for x in range(-3, 2)],
+        Q2=[(x, 7) for x in range(2, 8)],
+    )
 
 
 def _tray_corpus():
@@ -812,7 +842,8 @@ class TestBitboardOracle:
     )
     @settings(max_examples=40, deadline=None)
     def test_unit_moves_match_on_any_offsets(self, mode, seed, data):
-        # overlapping pieces included: both sides read `occupied - moving`
+        # single-piece mode reads `occupied - moving` on overlapping pieces
+        # too; subset mode refuses them
         spec = PackingSpec(width=5, height=5, max_pieces=6, max_cells=4)
         config = random_packing(seed, spec)
         assume(len(config) > 0)
@@ -822,6 +853,10 @@ class TestBitboardOracle:
             for _ in engine.ids
         )
         cap = data.draw(st.integers(1, 4))
+        if mode == SUBSET_MOVE and _overlap(engine, offsets):
+            with pytest.raises(ValueError, match="overlap"):
+                list(engine.unit_moves(offsets, mode, cap))
+            return
         assert list(engine.unit_moves(offsets, mode, cap)) == list(
             _cell_set_unit_moves(engine, offsets, mode, cap)
         )
@@ -833,8 +868,8 @@ class TestBitboardOracle:
     )
     @settings(max_examples=40, deadline=None)
     def test_escape_at_matches_on_any_offsets(self, mode, seed, data):
-        # overlapping pieces included: the ray closures would count a piece
-        # under a moving one as a blocker, so the exact pass serves them
+        # subset mode refuses overlapping pieces: its ray closures would
+        # count a piece under a moving one as a blocker
         spec = PackingSpec(width=5, height=5, max_pieces=6, max_cells=4)
         config = random_packing(seed, spec)
         assume(len(config) > 0)
@@ -844,20 +879,31 @@ class TestBitboardOracle:
             for _ in engine.ids
         )
         cap = data.draw(st.integers(1, 4))
+        if mode == SUBSET_MOVE and _overlap(engine, offsets):
+            with pytest.raises(ValueError, match="overlap"):
+                engine.escape_at(offsets, mode, cap)
+            return
         assert engine.escape_at(offsets, mode, cap) == _pairwise_escape_at(
             engine, offsets, mode, cap
         )
 
-    def test_overlapping_offsets_take_the_exact_pass(self):
+    def test_subset_mode_refuses_overlapping_offsets(self):
         # X moved onto B's cell in A's +x lane (never a BFS state) blocks
         # neither, but it would sit in A's ray closure and at cap 2 rule
-        # out the pair's escape
+        # out the pair's escape; the cell-set oracle lets the pair leave
         config = _config(**_doored_tray().cell_map(), X=[(4, 2)])
         engine = _Engine(config, radius=0)
         offsets = tuple((-2, 1) if pid == "X" else (0, 0) for pid in engine.ids)
         expected = (frozenset({"A", "B"}), POS_X)
         assert _pairwise_escape_at(engine, offsets, SUBSET_MOVE, 2) == expected
-        assert engine.escape_at(offsets, SUBSET_MOVE, 2) == expected
+        with pytest.raises(ValueError, match="overlap"):
+            engine.escape_at(offsets, SUBSET_MOVE, 2)
+        with pytest.raises(ValueError, match="overlap"):
+            list(engine.unit_moves(offsets, SUBSET_MOVE, 2))
+        # single-piece mode still reads any offsets
+        assert engine.escape_at(offsets, SINGLE_PIECE, 2) == _pairwise_escape_at(
+            engine, offsets, SINGLE_PIECE, 2
+        )
 
     @pytest.mark.parametrize("cap", [1, 2, DEFAULT_SUBSET_CAP])
     def test_tray_with_key_matches(self, cap):
@@ -868,35 +914,47 @@ class TestBitboardOracle:
         sizes = set()
         for offsets in states:
             _check_against_cell_sets(engine, offsets, SUBSET_MOVE, cap)
-            sizes.update(map(len, _engine_subsets(engine, offsets, cap)))
+            cells = _state_cells(engine, offsets)
+            sizes.update(map(len, _combination_contact_subsets(cells, cap)))
         assert sizes == set(range(2, cap + 1))
 
     @pytest.mark.parametrize("cap", [1, 2, 3, DEFAULT_SUBSET_CAP])
     def test_trays_match_in_every_state(self, cap):
-        # subset mode's move sets are closures and its escapes are pruned
-        # by ray closures; the exact pass serves what may escape
-        pruned = escapes = 0
+        # subset mode's move sets are unions of one-step closures, and its
+        # escapes unions of ray closures
+        locked = escapes = 0
         sizes = set()
         for config, closed in _tray_corpus():
             engine = _Engine(config, radius=0)
             for offsets in _bfs_states(engine, SUBSET_MOVE, cap):
                 _check_against_cell_sets(engine, offsets, SUBSET_MOVE, cap)
-                masks, geometry = engine._layout(offsets)
-                occupied = 0
-                for mask in masks:
-                    occupied |= mask
-                may_escape = engine._may_escape(masks, occupied, geometry, cap)
-                # every ray meets a closed frame, and the frame's meet every tile
-                assert not (closed and may_escape)
-                pruned += not may_escape
                 escape = engine.escape_at(offsets, SUBSET_MOVE, cap)
+                # every ray meets a closed frame, and the frame's meet every tile
+                assert not (closed and escape)
+                locked += escape is None
                 escapes += escape is not None and len(escape[0]) > 1
                 sizes.update(
                     len(ids) for ids, _, _ in engine.unit_moves(offsets, SUBSET_MOVE, cap)
                 )
-        assert pruned > 0
+        assert locked > 0
         assert (escapes > 0) == (cap > 1)
         assert sizes == set(range(1, cap + 1))
+
+    def test_escape_through_ray_closures_that_are_not_connected(self):
+        config = _hooked_pairs_tray()
+        cells = config.cell_map()
+        occupied = occupied_cells(config)
+        for pair in ("AC", "BD"):
+            moving = set().union(*(cells[pid] for pid in pair))
+            assert not is_connected(moving)
+            assert not sweep_collides(moving, occupied - moving, POS_X)
+        engine = _Engine(config, radius=0)
+        for offsets in _states_near_start(engine, SUBSET_MOVE, steps=1):
+            for cap in range(1, 5):
+                _check_against_cell_sets(engine, offsets, SUBSET_MOVE, cap)
+        start = tuple((0, 0) for _ in engine.ids)
+        assert engine.escape_at(start, SUBSET_MOVE, 3) is None
+        assert engine.escape_at(start, SUBSET_MOVE, 4) == (frozenset("ABCD"), POS_X)
 
     @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
     def test_named_instances_match_outside_the_arena(self, mode):
@@ -909,20 +967,6 @@ class TestBitboardOracle:
                 outside += not engine.in_arena(offsets)
                 _check_against_cell_sets(engine, offsets, mode, DEFAULT_SUBSET_CAP)
         assert outside > 0
-
-
-def _count_contact_subsets(monkeypatch):
-    """Count `_Engine._contact_subsets` calls from here on; returns the list
-    each call appends to."""
-    calls = []
-    original = _Engine._contact_subsets
-
-    def counted(self, *args):
-        calls.append(args)
-        return original(self, *args)
-
-    monkeypatch.setattr(_Engine, "_contact_subsets", counted)
-    return calls
 
 
 class TestStateCounts:
@@ -941,23 +985,17 @@ class TestStateCounts:
         assert answer.states_explored == 226
         assert replay_trace(config, answer.trace).cells_of("K") == frozenset({(4, 4)})
 
-    def test_framed_6x6_subset_tray_is_locked_after_36_states(self, monkeypatch):
-        # ray closures rule out every escape of a locked tray, so subset
-        # mode never enumerates its contact subsets there
-        calls = _count_contact_subsets(monkeypatch)
+    def test_framed_6x6_subset_tray_is_locked_after_36_states(self):
         budget = SearchBudget(radius=2, mode=SUBSET_MOVE)
         verdict = escape_search(_framed_tray(6, (6, 6)), budget)
         assert verdict.outcome == "locked-within-budget"
         assert verdict.states_explored == 36
-        assert calls == []
 
-    def test_subset_tray_with_key_is_locked_after_16_states(self, monkeypatch):
-        calls = _count_contact_subsets(monkeypatch)
+    def test_subset_tray_with_key_is_locked_after_16_states(self):
         budget = SearchBudget(radius=1, max_states=200, mode=SUBSET_MOVE)
         verdict = escape_search(tray_with_key(), budget)
         assert verdict.outcome == "locked-within-budget"
         assert verdict.states_explored == 16
-        assert calls == []
 
 
 class TestPlannerAgreement:
