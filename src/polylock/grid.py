@@ -15,11 +15,13 @@ canonical free form, and enumeration dedups on them.
 A `Configuration` is its pieces' world cells keyed by id, plus the owner
 of every occupied cell; pieces are never stored as a shape and an offset.
 
-`Lanes` is the slide kernel of `separation` and `classify`: they ask it
-whom a rigid set hits when slid to infinity. (`search` tests its slides
-on per-state bitboards instead.) `Configuration.owner` is the one
-cell -> piece lookup. `sweep_collides` is the pairwise reference oracle
-the tests check `Lanes` against; no other module calls it.
+`Lanes` is the slide kernel: it answers whom a rigid set hits when slid
+to infinity. `Configuration.blockers` asks it on the whole board, and is
+the one slide query of `separation`; `classify.pockets` asks it on a
+shape and one fill component. (`search` tests its slides on per-state
+bitboards instead.) `Configuration.owner` is the one cell -> piece
+lookup. `sweep_collides` is the pairwise reference oracle the tests
+check `Lanes` against; no other module calls it.
 """
 
 from __future__ import annotations
@@ -288,9 +290,11 @@ class Configuration:
     """Interior-disjoint polyominoes, each a set of world cells keyed by id.
 
     A configuration holds each piece's cells and the owner of every
-    occupied cell, so `cells_of` and `owner` are dict lookups. Two
-    configurations are equal when they hold the same ids with the same
-    cells; the owner map takes no part in equality, hashing or `repr`.
+    occupied cell, so `cells_of` and `owner` are dict lookups, and builds
+    one `Lanes` index per axis the first time `blockers` asks along it.
+    Two configurations are equal when they hold the same ids with the same
+    cells; the owner map and the lane indexes take no part in equality,
+    hashing or `repr`.
 
     Each check runs once. `from_cell_map` checks every piece (`Polyomino`)
     and the overlaps, and `formats` checks a parsed file itself, so that its
@@ -299,7 +303,7 @@ class Configuration:
     are.
     """
 
-    __slots__ = ("_cells", "_owners")
+    __slots__ = ("_cells", "_owners", "_lanes")
 
     @classmethod
     def from_cell_map(
@@ -325,6 +329,7 @@ class Configuration:
         config = object.__new__(cls)
         config._cells = cells_by_id
         config._owners = owners
+        config._lanes = {}
         return config
 
     def __eq__(self, other: object) -> bool:
@@ -357,6 +362,19 @@ class Configuration:
     def owner(self, cell: Cell) -> str | None:
         """The id of the piece occupying `cell`, or None when it is empty."""
         return self._owners.get(cell)
+
+    def blockers(self, piece_ids: Iterable[str], direction: Direction) -> set[str]:
+        """The other pieces that the rigid union of `piece_ids` hits when it
+        slides to infinity in `direction`.
+
+        Every piece of the configuration counts: a caller that takes pieces
+        off the board intersects the answer with the ones still on it, which
+        is exact because each piece is hit or not on its own.
+        """
+        lanes = self._lanes.get(direction.axis)
+        if lanes is None:
+            lanes = self._lanes[direction.axis] = Lanes(self._cells, direction.axis)
+        return lanes.blockers(piece_ids, direction.sign)
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         """(min_x, min_y, max_x, max_y) over all occupied cells."""
@@ -433,10 +451,9 @@ class Lanes:
     `blockers` equals the set of pieces for which `sweep_collides` on the
     union reports a hit; `sweep_collides` stays the reference oracle.
 
-    `separation` builds one index per axis for `blocking_graph`,
-    `simulate_plan` and the group peel and removes pieces as they leave;
-    `classify.pockets` builds one from a shape and one fill component to
-    find the open side.
+    An index is read-only once built. `Configuration.blockers` builds one
+    per axis over the whole board and keeps it; `classify.pockets` builds
+    one from a shape and one fill component to find the open side.
     """
 
     def __init__(self, cells_by_id: Mapping[Hashable, Iterable[Cell]], axis: str):
@@ -475,9 +492,3 @@ class Lanes:
                 if (high > edge if sign > 0 else low < edge) and other not in movers:
                     hit.add(other)
         return hit
-
-    def remove(self, piece_ids: Iterable[Hashable]) -> None:
-        """Drop these pieces from the index, as if taken off the board."""
-        for piece_id in piece_ids:
-            for lane in self._extents.pop(piece_id):
-                del self._lanes[lane][piece_id]

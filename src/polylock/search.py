@@ -304,27 +304,19 @@ def _closed_sets(
     return sorted(found.items(), key=lambda item: (item[0].bit_count(), -item[0]))
 
 
-class _RayBlockers(dict):
+def _ray_hits(by_bit: list[int], occupied: int, direction: Direction, geometry) -> list[int]:
     """Piece p -> the bit set of pieces (piece q is bit q) that p's ray fill
-    along a direction meets, filled in as closures reach p."""
-
-    def __init__(self, masks: list[int], occupied: int, direction: Direction, geometry):
-        super().__init__()
-        self.masks = masks
-        self.occupied = occupied
-        self.direction = direction
-        self.geometry = geometry
-
-    def __missing__(self, p: int) -> int:
-        mask = self.masks[p]
-        fill = _ray_fill(mask, self.direction, self.geometry) & (self.occupied ^ mask)
+    along `direction` meets."""
+    hits = []
+    for mask in by_bit:
+        fill = _ray_fill(mask, direction, geometry) & (occupied ^ mask)
         hit = 0
         if fill:
-            for q, other in enumerate(self.masks):
+            for q, other in enumerate(by_bit):
                 if fill & other:
                     hit |= 1 << q
-        self[p] = hit
-        return hit
+        hits.append(hit)
+    return hits
 
 
 def _box_geometry(width: int, height: int) -> tuple:
@@ -388,7 +380,7 @@ class _Engine:
       can step along d exactly when it is connected and closed under "p's
       step along d meets q" (`_contacts`), and escapes along d exactly
       when it is connected, closed under "p's ray fill along d meets q"
-      (`_RayBlockers`; the fill of a union is the union of the fills) and,
+      (`_ray_hits`; the fill of a union is the union of the fills) and,
       on a board of two pieces or more, not all of them: escape closures
       are capped one below the piece count. One-step closures are connected, so every move union is; a ray
       closure need not be, so escapes keep the connected unions only. A
@@ -563,7 +555,7 @@ class _Engine:
         limit = min(cap, max(count - 1, 1))
         by_bit = masks[::-1]
         closures = [
-            _closures(_RayBlockers(by_bit, occupied, direction, geometry), count, limit)
+            _closures(_ray_hits(by_bit, occupied, direction, geometry), count, limit)
             for direction in DIRECTIONS
         ]
         if not any(map(any, closures)):

@@ -14,11 +14,13 @@ never trusted: `simulate_plan` replays them move by move.
 
 The layer works on world cells and piece ids only: a group is the frozenset
 of its members' ids, and no shape object is built for it. Every slide query
-here is answered by `grid.Lanes`, one index per axis; its docstring states
-the exact lane rule. Pieces only ever leave the board, so the index is
-built once and pieces are removed from it as they go. `group_le5` finds
-U pockets with `classify.u_pocket` and the piece in one with
-`Configuration.owner`.
+here is `Configuration.blockers`, which reads one `grid.Lanes` index per
+axis, built on first use and kept on the configuration; the `Lanes`
+docstring states the exact lane rule. The index always holds the whole
+board: the peels and the replay keep the set of pieces still on it and
+intersect each answer with that set, so planning and replaying one
+configuration share one index per axis. `group_le5` finds U pockets with
+`classify.u_pocket` and the piece in one with `Configuration.owner`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .classify import monotone_closure, u_pocket
-from .grid import DIRECTIONS, Cell, Configuration, Direction, Lanes
+from .grid import DIRECTIONS, Cell, Configuration, Direction
 
 #: Largest piece size the grouping planner accepts.
 GROUPABLE_MAX_CELLS = 5
@@ -113,11 +115,10 @@ def _extreme(cells: Iterable[Cell], direction: Direction) -> int:
 def blocking_graph(config: Configuration, direction: Direction) -> BlockingGraph:
     """Exact pairwise blocking relation for infinite slides in `direction`."""
     ids = config.piece_ids()
-    lanes = Lanes(config.cell_map(), direction.axis)
     edges = {
         (blocker, blocked)
         for blocked in ids
-        for blocker in lanes.blockers((blocked,), direction.sign)
+        for blocker in config.blockers((blocked,), direction)
     }
     return BlockingGraph(
         direction=direction, nodes=frozenset(ids), edges=frozenset(edges)
@@ -203,28 +204,24 @@ def simulate_plan(config: Configuration, plan: SeparationPlan) -> SimulationRepo
     first mover, by id, that hits it alone; the leftover is every piece
     still on the board, movers included.
     """
-    known = set(config.piece_ids())
+    on_board = set(config.piece_ids())
     seen: set[str] = set()
     for move in plan.moves:
         for pid in sorted(move.piece_ids):
-            if pid not in known:
+            if pid not in on_board:
                 raise PlanError(f"plan references unknown piece {pid!r}")
             if pid in seen:
                 raise PlanError(f"piece {pid!r} is covered by two moves")
             seen.add(pid)
 
-    cells = config.cell_map()
-    lanes = {axis: Lanes(cells, axis) for axis in ("x", "y")}
-    on_board = set(cells)
     for index, move in enumerate(plan.moves):
-        axis, sign = move.direction.axis, move.direction.sign
-        hit = lanes[axis].blockers(move.piece_ids, sign)
+        hit = config.blockers(move.piece_ids, move.direction) & on_board
         if hit:
             other = min(hit)
             witness = next(
                 pid
                 for pid in sorted(move.piece_ids)
-                if other in lanes[axis].blockers((pid,), sign)
+                if other in config.blockers((pid,), move.direction)
             )
             return SimulationReport(
                 valid=False,
@@ -232,8 +229,6 @@ def simulate_plan(config: Configuration, plan: SeparationPlan) -> SimulationRepo
                 collision=(witness, other),
                 leftover=frozenset(on_board),
             )
-        for axis_lanes in lanes.values():
-            axis_lanes.remove(move.piece_ids)
         on_board -= move.piece_ids
 
     leftover = frozenset(on_board)
@@ -324,14 +319,14 @@ def _exit_preferences(
 
 
 def _member_exit_moves(
-    config: Configuration, lanes: dict[str, Lanes], group: frozenset[str]
+    config: Configuration, on_board: set[str], group: frozenset[str]
 ) -> list[Move] | None:
     """Exit the group's members one by one along its internal axis.
 
     Tries member orders and signs until a sequence is fully clear against
-    everything still on the board (`lanes`, less the members that already
-    left), preferring pocket fillers first through their opening. Returns
-    None when every sequence is blocked.
+    everything still on the board (`on_board`, less the members that
+    already left), preferring pocket fillers first through their opening.
+    Returns None when every sequence is blocked.
     """
     ordered, prefs = _exit_preferences(config, group)
     for perm in itertools.permutations(ordered):
@@ -339,7 +334,7 @@ def _member_exit_moves(
             left: set[str] = set()
             moves: list[Move] = []
             for pid, direction in zip(perm, signs):
-                if lanes[direction.axis].blockers((pid,), direction.sign) - left:
+                if (config.blockers((pid,), direction) & on_board) - left:
                     break
                 moves.append(Move(frozenset({pid}), direction))
                 left.add(pid)
@@ -350,7 +345,7 @@ def _member_exit_moves(
 
 def _group_exit(
     config: Configuration,
-    lanes: dict[str, Lanes],
+    on_board: set[str],
     group: frozenset[str],
     direction: Direction,
     rigid: bool,
@@ -360,11 +355,10 @@ def _group_exit(
     With `rigid`, a multi-piece group whose members cannot leave one by one
     may still slide out whole in `direction`.
     """
-    blocked = lanes[direction.axis].blockers(group, direction.sign)
     if len(group) == 1:
-        return None if blocked else [Move(group, direction)]
-    moves = _member_exit_moves(config, lanes, group)
-    if moves is None and rigid and not blocked:
+        return None if config.blockers(group, direction) & on_board else [Move(group, direction)]
+    moves = _member_exit_moves(config, on_board, group)
+    if moves is None and rigid and not config.blockers(group, direction) & on_board:
         return [Move(group, direction)]
     return moves
 
@@ -384,7 +378,7 @@ def _peel_groups(
     before they leave, so the farthest-along order is fixed up front.
     """
     cells = config.cell_map()
-    lanes = {axis: Lanes(cells, axis) for axis in ("x", "y")}
+    on_board = set(cells)
     pending = sorted(
         groups,
         key=lambda g: (
@@ -395,14 +389,13 @@ def _peel_groups(
     moves: list[Move] = []
     while pending:
         for position, group in enumerate(pending):
-            exit_moves = _group_exit(config, lanes, group, direction, rigid)
+            exit_moves = _group_exit(config, on_board, group, direction, rigid)
             if exit_moves is not None:
                 break
         else:
             return None
         moves.extend(exit_moves)
-        for axis_lanes in lanes.values():
-            axis_lanes.remove(group)
+        on_board -= group
         del pending[position]
     return SeparationPlan(tuple(moves))
 

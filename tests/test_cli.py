@@ -9,7 +9,7 @@ import pytest
 from polylock import cli
 from polylock.classify import classify
 from polylock.cli import _FILTERS, build_parser, main
-from polylock.grid import MAX_ENUMERATION_CELLS, Configuration, Polyomino
+from polylock.grid import MAX_ENUMERATION_CELLS, Configuration, Lanes, Polyomino
 from polylock.search import MAX_ARENA_CELLS
 from polylock.formats import emit_grid, emit_structured
 from polylock.instances import (
@@ -347,6 +347,38 @@ def test_lemma_corridor_gives_a_positive_witness_for_a_width_below_the_float_ran
 # --------------------------------------------------------------------------
 # one parser per process
 # --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, code, axes, said",
+    [
+        (["separate"], 0, ["x", "y"], "move 2: L +y\nmove 3: U +y\nsimulation: valid"),
+        (["render", "-o", "plan.svg", "--annotate", "plan"], 0, ["x", "y"], ""),
+        (["separate", "--mode", "uto", "--dir=+x"], 2, ["x"], "no plan in +x: cycle L U"),
+        (["separate", "--mode", "uto", "--dir=+y"], 0, ["y"], "simulation: valid"),
+    ],
+    ids=["separate", "render-plan", "uto+x", "uto+y"],
+)
+def test_a_plan_query_builds_one_lane_index_per_axis(
+    argv, code, axes, said, monkeypatch, write, tmp_path, capsys
+):
+    """The peel, the planner's replay and the printed plan's replay share
+    the loaded configuration's indexes. In u_filler_example, L sits in U's
+    pocket: the group's members exit along y while the peel runs along x,
+    and along +x there is no single-direction plan to replay."""
+    builds = []
+    build = Lanes.__init__
+
+    def counting_init(self, cells_by_id, axis):
+        builds.append(axis)
+        build(self, cells_by_id, axis)
+
+    monkeypatch.setattr(Lanes, "__init__", counting_init)
+    monkeypatch.chdir(tmp_path)
+    path = write("u.cfg", emit_structured(u_filler_example()))
+    assert main([argv[0], path, *argv[1:]]) == code
+    assert sorted(builds) == axes
+    assert said in capsys.readouterr().out
 
 
 def _run(argv, capsys):

@@ -381,14 +381,17 @@ def test_configuration_index_is_invisible():
     assert config != Configuration.from_cell_map({"a": pieces["a"]})
     assert config != Configuration.from_cell_map({"a": pieces["a"], "c": pieces["b"]})
     assert config != Configuration.from_cell_map({**pieces, "b": [(0, 2), (1, 2)]})
-    assert repr(config) == (
-        "Configuration.from_cell_map({'a': [(0, 0), (1, 0)], 'b': [(0, 1), (1, 1)]})"
-    )
-    assert eval(repr(config)) == config
-    # the owner map is per-instance state, yet equality, hash and repr ignore it
+    shown = "Configuration.from_cell_map({'a': [(0, 0), (1, 0)], 'b': [(0, 1), (1, 1)]})"
+    assert repr(config) == shown and eval(shown) == config
+    # the owner map and the lane indexes are per-instance state, yet
+    # equality, hash and repr ignore them
     assert config._owners is not twin._owners
     object.__setattr__(twin, "_owners", {})
     assert config == twin and hash(config) == hash(twin)
+    assert config.blockers(["a"], Direction.POS_Y) == {"b"}
+    assert config.blockers(["b"], Direction.POS_X) == set()
+    assert sorted(config._lanes) == ["x", "y"] and not twin._lanes
+    assert config == twin and hash(config) == hash(twin) and repr(config) == shown
     assert config.piece_ids() == ("a", "b") and len(config) == 2
     assert config.cells_of("b") == frozenset({(0, 1), (1, 1)})
     assert config.cell_map() == {"a": {(0, 0), (1, 0)}, "b": {(0, 1), (1, 1)}}
@@ -629,11 +632,16 @@ def test_lanes_reject_a_bad_axis():
 @settings(max_examples=150)
 @given(st.integers(0, 2**32 - 1))
 def test_lanes_blockers_match_pairwise_sweeps(seed):
+    """Both indexes hold the whole packing and are never changed; as pieces
+    leave, their answers cut to the pieces still on the board must equal
+    the sweeps of the union against just those pieces."""
     rng = random.Random(seed)
     on_board = _random_packing(rng, rng.randint(1, 9), 5)
     lanes = {axis: Lanes(on_board, axis) for axis in ("x", "y")}
+    config = Configuration.from_cell_map(on_board)
     while on_board:
         ids = sorted(on_board)
+        remaining = set(ids)
         movers = [(pid,) for pid in ids] + [
             tuple(rng.sample(ids, k)) for k in (2, 3) if k <= len(ids)
         ]
@@ -647,11 +655,9 @@ def test_lanes_blockers_match_pairwise_sweeps(seed):
                     and sweep_collides(union, on_board[other], direction)
                 }
                 got = lanes[direction.axis].blockers(group, direction.sign)
-                assert got == expected, (group, direction)
-        gone = rng.sample(ids, rng.randint(1, min(3, len(ids))))
-        for axis_lanes in lanes.values():
-            axis_lanes.remove(gone)
-        for pid in gone:
+                assert got & remaining == expected, (group, direction)
+                assert config.blockers(group, direction) & remaining == expected
+        for pid in rng.sample(ids, rng.randint(1, min(3, len(ids)))):
             del on_board[pid]
 
 

@@ -918,3 +918,43 @@ def test_separate_le5_lets_a_jammed_group_leave_whole(name):
     assert rigid
     groups = set(group_le5(config))
     assert all(move.piece_ids in groups for move in rigid)
+
+
+# ---------------------------------------------------------------- one index per axis
+
+
+def _every_answer(board):
+    """The plan of `separate_le5`, the replays of it and of its corrupted
+    copies, then `plan_uto` and `blocking_graph` in every direction, each
+    asked of `board()`."""
+    plan = separate_le5(board())
+    answers = [plan]
+    for variant in _corrupted(plan, random.Random(len(plan.moves))):
+        answers.append(simulate_plan(board(), variant))
+    for direction in DIRECTIONS:
+        answers += [plan_uto(board(), direction), blocking_graph(board(), direction)]
+    return answers
+
+
+SHARED_BOARDS = {
+    "u_filler": u_filler_example,
+    "case4": case4_group,
+    "mutual_u": mutual_u_pair,
+    "grown": lambda: _grown_packing(7),
+    "jammed": lambda: _packing_from_rows(JAMMED_PACKINGS["a"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_BOARDS))
+def test_one_configuration_answers_every_query_like_fresh_copies(name):
+    """The planners and the replay share the lane indexes of one
+    configuration; each query must still answer as on a copy whose indexes
+    are new, and the kept indexes must not show in ==, hash or repr."""
+    config = SHARED_BOARDS[name]()
+    hash_before, repr_before = hash(config), repr(config)
+    kept = _every_answer(lambda: config)
+    fresh = _every_answer(lambda: Configuration.from_cell_map(config.cell_map()))
+    assert kept == fresh
+    twin = Configuration.from_cell_map(config.cell_map())
+    assert config == twin and hash(config) == hash(twin) == hash_before
+    assert repr(config) == repr(twin) == repr_before
