@@ -178,7 +178,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_key(args) -> int:
     document = _load(args.file)
-    piece = args.piece or document.key_piece
+    piece = document.key_piece if args.piece is None else args.piece
     if piece is None:
         print(
             "error: no --piece given and the file names no key piece",

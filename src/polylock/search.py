@@ -5,34 +5,35 @@ cell along an axis per move. `escaped` therefore proves the system is not
 interlocked, while `locked-within-budget` only certifies that no escape
 exists within the explored radius under this motion model.
 
-A state is stored as one tuple of per-piece offsets from the input
-configuration. Each piece's anchor (its lexicographically smallest cell)
-and bounding box are computed once; a translation moves both by the
-piece's offset and keeps the anchor smallest. States are breadth-first
-explored and deduplicated up to two quotients, both read from anchors:
+A state is one tuple of the pieces' anchor cells. A piece's anchor is its
+lexicographically smallest cell, and its cells are its form (its cells
+relative to the anchor, computed once) placed at the anchor, so a
+translation moves the anchor alone. States are breadth-first explored and
+deduplicated up to two quotients, both read from anchors:
 
-* global translation: every state is shifted so the lexicographically
-  smallest occupied cell returns to its initial value, so the whole system
-  drifting together never counts as progress. That cell is the smallest
-  anchor, because the minimum of a union is the minimum of its parts;
+* global translation: every state is shifted so its smallest anchor
+  returns to its value in the start state, so the whole system drifting
+  together never counts as progress. That anchor is the smallest occupied
+  cell, because the minimum of a union is the minimum of its parts;
 * piece identity: pieces with identical cell shapes (same up to
   translation, and not the designated key piece) are interchangeable, so
   states that merely permute them coincide. The state key is the sorted
   (shape class, anchor) pairs: a translate of a shape is fixed by where its
   anchor lands. Traces still name concrete piece ids and replay legally.
 
-The arena test reads the shifted bounding boxes: a piece lies inside the
-arena rectangle exactly when its bounding box does. Moves and escapes are
-tested on Python-int bitboards, one mask per piece per state, laid out over
-the union of the pieces' shifted boxes (see `_Engine`). A unit move is
+The arena test reads the anchors: a piece lies inside the arena rectangle
+exactly when its bounding box does, that is when its anchor lies in a
+rectangle computed once per piece. Moves and escapes are tested on
+Python-int bitboards, one mask per piece per state, laid out over the
+union of the pieces' boxes in that state (see `_Engine`). A unit move is
 legal when the moving mask's step meets no other piece's bit, and a set
 escapes when a Kogge-Stone ray fill of its mask meets no other piece's
 bit. Subset mode builds only the sets that can move or escape: a set can
 step (or escape) along d exactly when it holds every piece its members'
 steps (or ray fills) meet, so it is a union of per-piece closures, grown
-over the contact graph by `_closed_sets`. The masks grow with the arena,
-so its area is capped at `MAX_ARENA_CELLS`. `slide_dependency` reads
-`Configuration.owner`.
+over the contact graph by `_closed_sets`. The masks span the union of the
+state's boxes, which the arena bounds, so the arena's area is capped at
+`MAX_ARENA_CELLS`. `slide_dependency` reads `Configuration.owner`.
 """
 
 from __future__ import annotations
@@ -130,17 +131,17 @@ def _piece_indices(bits: int, count: int) -> tuple[int, ...]:
 
 
 def _shifted(
-    offsets: tuple[Cell, ...], combo: tuple[int, ...], direction: Direction
+    state: tuple[Cell, ...], combo: tuple[int, ...], direction: Direction
 ) -> tuple[Cell, ...]:
-    """The offsets after the pieces in `combo` take one step along `direction`."""
+    """The anchors after the pieces in `combo` take one step along `direction`."""
     dx, dy = direction.dx, direction.dy
     if len(combo) == 1:
         i = combo[0]
-        ox, oy = offsets[i]
-        return offsets[:i] + ((ox + dx, oy + dy),) + offsets[i + 1:]
+        x, y = state[i]
+        return state[:i] + ((x + dx, y + dy),) + state[i + 1:]
     return tuple(
-        (ox + dx, oy + dy) if i in combo else (ox, oy)
-        for i, (ox, oy) in enumerate(offsets)
+        (x + dx, y + dy) if i in combo else (x, y)
+        for i, (x, y) in enumerate(state)
     )
 
 
@@ -348,17 +349,17 @@ def _box_geometry(width: int, height: int) -> tuple:
 
 
 class _Engine:
-    """Expands unit moves over offset vectors for one base configuration.
+    """Expands unit moves over anchor states for one base configuration.
 
-    A state is only the tuple of per-piece offsets, in sorted id order. The
-    engine keeps each piece's base cells, its anchor (lexicographically
-    smallest base cell) and its bounding box. Translating a piece moves its
-    anchor and box by the same offset, so drift, arena and state key are
-    read from those in O(pieces).
+    A state is only the tuple of the pieces' anchor cells, in sorted id
+    order, and `start` is the input's. The engine keeps each piece's form
+    (its cells relative to its anchor), the extent of its box around the
+    anchor, and the rectangle its anchor may take inside the arena. So
+    drift, arena and state key read the anchors alone, in O(pieces).
 
     Moves and escapes are tested on Python-int bitboards laid out per state
-    by `_layout`. The layout is the union of the pieces' shifted bounding
-    boxes, row-major, with one empty pad column after every row: cell
+    by `_layout`. The layout is the union of the pieces' bounding boxes in
+    the state, row-major, with one empty pad column after every row: cell
     (x, y) is bit (y - bottom) * stride + (x - left), and the stride is the
     box width plus the pad. A step along x is a shift by 1 and a step along
     y a shift by the stride. The pad is the one-cell margin on both x sides
@@ -382,10 +383,11 @@ class _Engine:
       when it is connected, closed under "p's ray fill along d meets q"
       (`_ray_hits`; the fill of a union is the union of the fills) and,
       on a board of two pieces or more, not all of them: escape closures
-      are capped one below the piece count. One-step closures are connected, so every move union is; a ray
-      closure need not be, so escapes keep the connected unions only. A
-      state where no ray closure is within the cap has no escape, and its
-      contact graph is never built.
+      are capped one below the piece count. One-step closures are
+      connected, so every move union is; a ray closure need not be, so
+      escapes keep the connected unions only. A state where no ray closure
+      is within the cap has no escape, and its contact graph is never
+      built.
     * Both modes order sets by (size, index tuple), the order the BFS has
       always used, and directions as in `DIRECTIONS`, so state counts and
       traces do not depend on the enumeration.
@@ -394,24 +396,26 @@ class _Engine:
     def __init__(self, config: Configuration, radius: int, key_piece: str | None = None):
         self.ids: tuple[str, ...] = tuple(sorted(config.piece_ids()))
         self.index = {pid: i for i, pid in enumerate(self.ids)}
-        self.base_cells = tuple(tuple(sorted(config.cells_of(pid))) for pid in self.ids)
-        self.anchors = tuple(cells[0] for cells in self.base_cells)
-        self.cell_count = sum(map(len, self.base_cells))
-        # sorted cells start and end on the piece's x bounds
-        self.boxes = tuple(
-            (cells[0][0], min(y for _, y in cells), cells[-1][0], max(y for _, y in cells))
-            for cells in self.base_cells
+        cells = tuple(sorted(config.cells_of(pid)) for pid in self.ids)
+        self.start = tuple(piece[0] for piece in cells)
+        self.cell_count = sum(map(len, cells))
+        # each piece's cells relative to its anchor: the first has x = 0,
+        # none has a smaller x, and the last has the largest
+        self.forms = tuple(
+            tuple((x - ax, y - ay) for x, y in piece)
+            for piece, (ax, ay) in zip(cells, self.start)
         )
+        # the box of a piece anchored at (x, y) is x, y + low, x + right,
+        # y + high
+        self.lows = tuple(min(y for _, y in form) for form in self.forms)
+        self.rights = tuple(form[-1][0] for form in self.forms)
+        self.highs = tuple(max(y for _, y in form) for form in self.forms)
 
         # congruent non-key pieces share a shape class; the key gets its own
         shapes: dict[tuple[Cell, ...], int] = {}
         self.classes = tuple(
-            -1
-            if pid == key_piece
-            else shapes.setdefault(
-                tuple((x - ax, y - ay) for x, y in cells), len(shapes)
-            )
-            for pid, cells, (ax, ay) in zip(self.ids, self.base_cells, self.anchors)
+            -1 if pid == key_piece else shapes.setdefault(form, len(shapes))
+            for pid, form in zip(self.ids, self.forms)
         )
 
         min_x, min_y, max_x, max_y = config.bounding_box()
@@ -423,62 +427,55 @@ class _Engine:
                 f"(bounding box plus radius {radius} on each side) exceeds "
                 f"the cap of {MAX_ARENA_CELLS} cells"
             )
-        self.arena = (min_x - radius, min_y - radius, max_x + radius, max_y + radius)
-        self.initial_min = min(self.anchors)
+        x0, y0, x1, y1 = min_x - radius, min_y - radius, max_x + radius, max_y + radius
+        # a piece lies in the arena exactly when its anchor lies in its rectangle
+        self.anchor_bounds = tuple(
+            (x0, y0 - low, x1 - right, y1 - high)
+            for low, right, high in zip(self.lows, self.rights, self.highs)
+        )
+        self.initial_min = min(self.start)
 
         # each piece's cells as (row above its box corner, bit strip) pairs
         strips: list[dict[int, int]] = [{} for _ in self.ids]
-        for rows, cells, (x0, y0, _, _) in zip(strips, self.base_cells, self.boxes):
-            for x, y in cells:
-                rows[y - y0] = rows.get(y - y0, 0) | 1 << (x - x0)
+        for rows, form, low in zip(strips, self.forms, self.lows):
+            for x, y in form:
+                rows[y - low] = rows.get(y - low, 0) | 1 << x
         self.strips = tuple(tuple(rows.items()) for rows in strips)
         self._shapes: dict[int, tuple[int, ...]] = {}
         self._geometry: dict[tuple[int, int], tuple] = {}
 
-    def normalize(self, offsets: tuple[Cell, ...]) -> tuple[Cell, ...]:
-        mx, my = min(
-            (ax + ox, ay + oy)
-            for (ax, ay), (ox, oy) in zip(self.anchors, offsets)
-        )
+    def normalize(self, state: tuple[Cell, ...]) -> tuple[Cell, ...]:
+        mx, my = min(state)
         dx = self.initial_min[0] - mx
         dy = self.initial_min[1] - my
         if dx == 0 and dy == 0:
-            return offsets
-        return tuple((ox + dx, oy + dy) for ox, oy in offsets)
+            return state
+        return tuple((x + dx, y + dy) for x, y in state)
 
-    def in_arena(self, offsets: tuple[Cell, ...]) -> bool:
-        min_x, min_y, max_x, max_y = self.arena
-        return all(
-            min_x <= x0 + ox and x1 + ox <= max_x
-            and min_y <= y0 + oy and y1 + oy <= max_y
-            for (x0, y0, x1, y1), (ox, oy) in zip(self.boxes, offsets)
-        )
+    def in_arena(self, state: tuple[Cell, ...]) -> bool:
+        for (x, y), (x0, y0, x1, y1) in zip(state, self.anchor_bounds):
+            if not (x0 <= x <= x1 and y0 <= y <= y1):
+                return False
+        return True
 
-    def state_key(self, offsets: tuple[Cell, ...]):
-        return tuple(
-            sorted(
-                (shape, (ax + ox, ay + oy))
-                for shape, (ax, ay), (ox, oy) in zip(
-                    self.classes, self.anchors, offsets
-                )
-            )
-        )
+    def state_key(self, state: tuple[Cell, ...]):
+        return tuple(sorted(zip(self.classes, state)))
 
-    def _layout(self, offsets: tuple[Cell, ...]) -> tuple[list[int], tuple]:
+    def _layout(self, state: tuple[Cell, ...]) -> tuple[list[int], tuple]:
         """Each piece's mask in this state's box, and the box's geometry.
 
         The geometry is (stride, x rounds, y shifts) for `_slide_blocked`,
         cached per box size, and the pieces' masks at their box corners are
         cached per stride.
         """
-        xs, ys, highs_x, highs_y = zip(
-            *[
-                (x0 + ox, y0 + oy, x1 + ox, y1 + oy)
-                for (x0, y0, x1, y1), (ox, oy) in zip(self.boxes, offsets)
-            ]
+        # the smallest anchor has the smallest x of all
+        left = min(state)[0]
+        ys = [y + low for (_, y), low in zip(state, self.lows)]
+        bottom = min(ys)
+        size = (
+            max([x + right for (x, _), right in zip(state, self.rights)]) - left + 1,
+            max([y + high for (_, y), high in zip(state, self.highs)]) - bottom + 1,
         )
-        left, bottom = min(xs), min(ys)
-        size = (max(highs_x) - left + 1, max(highs_y) - bottom + 1)
         geometry = self._geometry.get(size)
         if geometry is None:
             geometry = self._geometry[size] = _box_geometry(*size)
@@ -491,7 +488,7 @@ class _Engine:
             )
         masks = [
             shape << (y - bottom) * stride + x - left
-            for shape, x, y in zip(shapes, xs, ys)
+            for shape, (x, _), y in zip(shapes, state, ys)
         ]
         return masks, geometry
 
@@ -506,9 +503,9 @@ class _Engine:
         return occupied
 
     def unit_moves(
-        self, offsets: tuple[Cell, ...], mode: str, cap: int
+        self, state: tuple[Cell, ...], mode: str, cap: int
     ) -> Iterator[tuple[frozenset[str], Direction, tuple[Cell, ...]]]:
-        masks, (stride, _, _) = self._layout(offsets)
+        masks, (stride, _, _) = self._layout(state)
         occupied = self._occupied(masks, mode)
         count = len(masks)
         if mode == SUBSET_MOVE:
@@ -519,7 +516,7 @@ class _Engine:
                 combo = _piece_indices(bits, count)
                 names = frozenset(self.ids[i] for i in combo)
                 for direction in directions:
-                    yield names, direction, _shifted(offsets, combo, direction)
+                    yield names, direction, _shifted(state, combo, direction)
             return
         for i, moving in enumerate(masks):
             others = occupied ^ moving
@@ -534,13 +531,13 @@ class _Engine:
             names = frozenset((self.ids[i],))
             for direction, hit in zip(DIRECTIONS, hits):
                 if not hit:
-                    yield names, direction, _shifted(offsets, (i,), direction)
+                    yield names, direction, _shifted(state, (i,), direction)
 
     def escape_at(
-        self, offsets: tuple[Cell, ...], mode: str, cap: int
+        self, state: tuple[Cell, ...], mode: str, cap: int
     ) -> tuple[frozenset[str], Direction] | None:
         """First piece set whose slide to infinity clears everything else."""
-        masks, geometry = self._layout(offsets)
+        masks, geometry = self._layout(state)
         occupied = self._occupied(masks, mode)
         if mode != SUBSET_MOVE:
             for i, moving in enumerate(masks):
@@ -576,10 +573,9 @@ def legal_moves(
     """All legal unit moves from a configuration, in deterministic order."""
     SearchBudget(radius=0, mode=mode, subset_cap=subset_cap)  # checks mode and cap
     engine = _Engine(config, radius=0)
-    offsets = tuple((0, 0) for _ in engine.ids)
     return [
         (piece_ids, direction)
-        for piece_ids, direction, _ in engine.unit_moves(offsets, mode, subset_cap)
+        for piece_ids, direction, _ in engine.unit_moves(engine.start, mode, subset_cap)
     ]
 
 
@@ -602,7 +598,7 @@ def _explore(
 ):
     """Shared BFS core; returns (status, payload, states_explored, trace)."""
     engine = _Engine(config, budget.radius, key_piece=key_piece)
-    start = tuple((0, 0) for _ in engine.ids)
+    start = engine.start
     start_key = engine.state_key(start)
     states = {start_key: (start, None, None)}
     payload = goal(engine, start)
@@ -612,9 +608,8 @@ def _explore(
     frontier = deque([start_key])
     while frontier:
         current = frontier.popleft()
-        offsets = states[current][0]
         for piece_ids, direction, moved in engine.unit_moves(
-            offsets, budget.mode, budget.subset_cap
+            states[current][0], budget.mode, budget.subset_cap
         ):
             normalized = engine.normalize(moved)
             if not engine.in_arena(normalized):
@@ -643,8 +638,8 @@ def escape_search(config: Configuration, budget: SearchBudget) -> SearchVerdict:
     if len(config) == 0:
         raise ValueError("escape search needs at least one piece")
 
-    def goal(engine, offsets):
-        return engine.escape_at(offsets, budget.mode, budget.subset_cap)
+    def goal(engine, state):
+        return engine.escape_at(state, budget.mode, budget.subset_cap)
 
     status, payload, explored, trace = _explore(config, budget, goal)
     if status == "hit":
@@ -675,7 +670,7 @@ def key_piece_reachable(
     pieces, so the answer is exact even when other pieces are collapsed as
     interchangeable.
     """
-    config.cells_of(key)  # raises KeyError for unknown pieces
+    anchor = min(config.cells_of(key))  # raises KeyError for unknown pieces
     if (
         not isinstance(displacement, tuple)
         or len(displacement) != 2
@@ -683,8 +678,10 @@ def key_piece_reachable(
     ):
         raise ValueError(f"displacement must be an (int, int) pair, got {displacement!r}")
 
-    def goal(engine, offsets):
-        if offsets[engine.index[key]] == displacement:
+    target = (anchor[0] + displacement[0], anchor[1] + displacement[1])
+
+    def goal(engine, state):
+        if state[engine.index[key]] == target:
             return True
         return None
 

@@ -9,8 +9,15 @@ import pytest
 from polylock import cli
 from polylock.classify import classify
 from polylock.cli import _FILTERS, build_parser, main
-from polylock.grid import MAX_ENUMERATION_CELLS, Configuration, Lanes, Polyomino
-from polylock.search import MAX_ARENA_CELLS
+from polylock.grid import (
+    MAX_ENUMERATION_CELLS,
+    Configuration,
+    Direction,
+    Lanes,
+    Polyomino,
+    occupied_cells,
+)
+from polylock.search import MAX_ARENA_CELLS, replay_trace
 from polylock.formats import emit_grid, emit_structured
 from polylock.instances import (
     clasped_c_pair,
@@ -21,7 +28,7 @@ from polylock.instances import (
     z_chain,
 )
 from test_grid import _tuple_enumerate_free
-from test_search import _doored_tray
+from test_search import _doored_tray, _framed_tray
 
 
 @pytest.fixture
@@ -159,6 +166,106 @@ def test_key_unknown_piece_exits_one(write, capsys):
     path = write("u.cfg", emit_structured(u_filler_example()))
     assert main(["key", path, "--piece", "Q", "--dx", "1", "--dy", "0"]) == 1
     assert "Q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key_line", [True, False], ids=["key_line", "no_key_line"])
+def test_key_with_an_empty_piece_id_exits_one(key_line, write, capsys):
+    # an empty --piece names no piece; it never falls back to the key line
+    key = "K" if key_line else None
+    path = write("tray.cfg", emit_structured(tray_with_key(), key_piece=key))
+    assert main(["key", path, "--piece=", "--dx", "1", "--dy", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no piece '' in configuration\n"
+
+
+def _keyed_tray(side):
+    """`_framed_tray` of `side` with its top right corner empty and its
+    bottom left tile renamed K."""
+    cells = _framed_tray(side, (side, side)).cell_map()
+    cells["K"] = cells.pop("T00")
+    return Configuration.from_cell_map(cells)
+
+
+_TRAY_4_KEY = """\
+outcome: reachable
+states explored: 56
+move 1: T11 +y
+move 2: T07 +y
+move 3: T03 +y
+move 4: T02 +x
+move 5: T01 +x
+move 6: K +x
+move 7: T04 -y
+move 8: T05 -x
+move 9: K +y
+move 10: T01 -x
+move 11: T06 -y
+move 12: K +x
+"""
+
+_TRAY_3_SUBSET_KEY = """\
+outcome: reachable
+states explored: 65
+move 1: T02+T05 +y
+move 2: K+T01 +x
+move 3: T03 -y
+move 4: T04 -x
+move 5: K +y
+move 6: T01 -x
+move 7: T02 -y
+move 8: K +x
+move 9: T07 -y
+move 10: T05 -x
+move 11: K +y
+"""
+
+
+@pytest.mark.parametrize(
+    "side, argv, code, expected",
+    [
+        (4, ["key", "--dx", "2", "--dy", "1"], 0, _TRAY_4_KEY),
+        (4, ["solve"], 2, "outcome: locked-within-budget\nstates explored: 16\n"),
+        (3, ["key", "--dx", "2", "--dy", "2", "--mode", "subset"], 0, _TRAY_3_SUBSET_KEY),
+        (
+            3,
+            ["solve", "--mode", "subset"],
+            2,
+            "outcome: locked-within-budget\nstates explored: 9\n",
+        ),
+    ],
+    ids=["4x4-key", "4x4-solve", "3x3-subset-key", "3x3-subset-solve"],
+)
+def test_tray_queries_print_the_bfs_order(side, argv, code, expected, write, capsys):
+    # the state counts and move orders pin the breadth-first order
+    path = write("tray.cfg", emit_structured(_keyed_tray(side), key_piece="K"))
+    assert main([argv[0], path, *argv[1:]]) == code
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+
+
+def test_key_trace_survives_a_shift_of_every_piece(write, capsys):
+    # A's first move hands the smallest cell to B, so drift normalisation
+    # shifts the whole board down by one row
+    config = Configuration.from_cell_map(
+        {"A": [(0, 0), (1, 0)], "B": [(0, 1), (0, 2)], "C": [(1, 1)]}
+    )
+    first = replay_trace(config, ((frozenset("A"), Direction.POS_X),))
+    assert min(occupied_cells(first)) in first.cells_of("B")
+    path = write("l.cfg", emit_structured(config))
+    argv = ["key", path, "--piece", "A", "--dx", "1", "--dy", "2", "--radius", "1"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "outcome: reachable\n"
+        "states explored: 47\n"
+        "move 1: A +x\n"
+        "move 2: B -y\n"
+        "move 3: B -y\n"
+        "move 4: B -y\n"
+    )
+    assert captured.err == ""
 
 
 def test_deps_prints_the_dependency_set(write, capsys):

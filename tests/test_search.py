@@ -555,11 +555,11 @@ class TestPlainBfsOracle:
             assert answer.states_explored <= states
 
 
-def _state_cells(engine, offsets):
-    """Each piece's cells in the state, in piece-index order."""
+def _state_cells(engine, state):
+    """Each piece's cells in the state of anchors, in piece-index order."""
     return [
-        {(x + ox, y + oy) for x, y in base}
-        for base, (ox, oy) in zip(engine.base_cells, offsets)
+        {(x + ax, y + ay) for x, y in form}
+        for form, (ax, ay) in zip(engine.forms, state)
     ]
 
 
@@ -602,9 +602,9 @@ def _cell_move_sets(cells, mode, cap):
     return combos
 
 
-def _cell_set_unit_moves(engine, offsets, mode, cap):
+def _cell_set_unit_moves(engine, state, mode, cap):
     """`unit_moves` as it was: one cell set per piece, step tested per cell."""
-    cells = _state_cells(engine, offsets)
+    cells = _state_cells(engine, state)
     occupied = set().union(*cells)
     for combo in _cell_move_sets(cells, mode, cap):
         moving = set().union(*(cells[i] for i in combo))
@@ -614,21 +614,21 @@ def _cell_set_unit_moves(engine, offsets, mode, cap):
             if any((x + dx, y + dy) in others for x, y in moving):
                 continue
             moved = tuple(
-                (ox + dx, oy + dy) if i in combo else (ox, oy)
-                for i, (ox, oy) in enumerate(offsets)
+                (x + dx, y + dy) if i in combo else (x, y)
+                for i, (x, y) in enumerate(state)
             )
             yield frozenset(engine.ids[i] for i in combo), direction, moved
 
 
-def _overlap(engine, offsets):
+def _overlap(engine, state):
     """Do two pieces share a cell in the state?"""
-    cells = _state_cells(engine, offsets)
+    cells = _state_cells(engine, state)
     return sum(map(len, cells)) != len(set().union(*cells))
 
 
-def _pairwise_escape_at(engine, offsets, mode, cap):
+def _pairwise_escape_at(engine, state, mode, cap):
     """`escape_at` as it was: sweep each move set against all other cells."""
-    cells = _state_cells(engine, offsets)
+    cells = _state_cells(engine, state)
     occupied = set().union(*cells)
     for combo in _cell_move_sets(cells, mode, cap):
         if len(combo) == len(engine.ids) > 1:
@@ -641,14 +641,13 @@ def _pairwise_escape_at(engine, offsets, mode, cap):
 
 
 def _states_near_start(engine, mode, steps, limit=25):
-    """Normalised offsets within `steps` unit moves of the start, BFS order."""
-    start = tuple((0, 0) for _ in engine.ids)
-    seen = [start]
-    layer = [start]
+    """Normalised states within `steps` unit moves of the start, BFS order."""
+    seen = [engine.start]
+    layer = [engine.start]
     for _ in range(steps):
         following = []
-        for offsets in layer:
-            for _, _, moved in engine.unit_moves(offsets, mode, DEFAULT_SUBSET_CAP):
+        for state in layer:
+            for _, _, moved in engine.unit_moves(state, mode, DEFAULT_SUBSET_CAP):
                 moved = engine.normalize(moved)
                 if moved not in seen and len(seen) < limit:
                     seen.append(moved)
@@ -657,14 +656,26 @@ def _states_near_start(engine, mode, steps, limit=25):
     return seen
 
 
+def _drawn_state(engine, data):
+    """The start anchors, each moved by a drawn offset of at most 4 per axis.
+
+    Its pieces may overlap, as no BFS state's do.
+    """
+    state = []
+    for x, y in engine.start:
+        dx, dy = data.draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+        state.append((x + dx, y + dy))
+    return tuple(state)
+
+
 def _escape_pairs(config, mode, steps):
     engine = _Engine(config, radius=2)
     return [
         (
-            engine.escape_at(offsets, mode, DEFAULT_SUBSET_CAP),
-            _pairwise_escape_at(engine, offsets, mode, DEFAULT_SUBSET_CAP),
+            engine.escape_at(state, mode, DEFAULT_SUBSET_CAP),
+            _pairwise_escape_at(engine, state, mode, DEFAULT_SUBSET_CAP),
         )
-        for offsets in _states_near_start(engine, mode, steps)
+        for state in _states_near_start(engine, mode, steps)
     ]
 
 
@@ -702,13 +713,13 @@ class TestEscapeAtOracle:
             assert any(got and len(got[0]) > 1 for got, _ in results)
 
 
-def _check_against_cell_sets(engine, offsets, mode, cap):
+def _check_against_cell_sets(engine, state, mode, cap):
     """Unit moves and escapes agree with the cell-set oracles."""
-    assert list(engine.unit_moves(offsets, mode, cap)) == list(
-        _cell_set_unit_moves(engine, offsets, mode, cap)
+    assert list(engine.unit_moves(state, mode, cap)) == list(
+        _cell_set_unit_moves(engine, state, mode, cap)
     )
-    assert engine.escape_at(offsets, mode, cap) == _pairwise_escape_at(
-        engine, offsets, mode, cap
+    assert engine.escape_at(state, mode, cap) == _pairwise_escape_at(
+        engine, state, mode, cap
     )
 
 
@@ -796,11 +807,10 @@ def _tray_corpus():
 
 def _bfs_states(engine, mode, cap):
     """Every state the BFS reaches inside the arena, in BFS order."""
-    start = tuple((0, 0) for _ in engine.ids)
-    seen = {engine.state_key(start)}
-    states = [start]
-    for offsets in states:
-        for _, _, moved in engine.unit_moves(offsets, mode, cap):
+    seen = {engine.state_key(engine.start)}
+    states = [engine.start]
+    for state in states:
+        for _, _, moved in engine.unit_moves(state, mode, cap):
             moved = engine.normalize(moved)
             key = engine.state_key(moved)
             if engine.in_arena(moved) and key not in seen:
@@ -832,8 +842,8 @@ class TestBitboardOracle:
         config = random_packing(seed, spec)
         assume(len(config) > 0)
         engine = _Engine(config, radius=0)
-        for offsets in _states_near_start(engine, mode, steps=2):
-            _check_against_cell_sets(engine, offsets, mode, cap)
+        for state in _states_near_start(engine, mode, steps=2):
+            _check_against_cell_sets(engine, state, mode, cap)
 
     @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
     @given(
@@ -848,17 +858,14 @@ class TestBitboardOracle:
         config = random_packing(seed, spec)
         assume(len(config) > 0)
         engine = _Engine(config, radius=0)
-        offsets = tuple(
-            data.draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
-            for _ in engine.ids
-        )
+        state = _drawn_state(engine, data)
         cap = data.draw(st.integers(1, 4))
-        if mode == SUBSET_MOVE and _overlap(engine, offsets):
+        if mode == SUBSET_MOVE and _overlap(engine, state):
             with pytest.raises(ValueError, match="overlap"):
-                list(engine.unit_moves(offsets, mode, cap))
+                list(engine.unit_moves(state, mode, cap))
             return
-        assert list(engine.unit_moves(offsets, mode, cap)) == list(
-            _cell_set_unit_moves(engine, offsets, mode, cap)
+        assert list(engine.unit_moves(state, mode, cap)) == list(
+            _cell_set_unit_moves(engine, state, mode, cap)
         )
 
     @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
@@ -874,17 +881,14 @@ class TestBitboardOracle:
         config = random_packing(seed, spec)
         assume(len(config) > 0)
         engine = _Engine(config, radius=0)
-        offsets = tuple(
-            data.draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
-            for _ in engine.ids
-        )
+        state = _drawn_state(engine, data)
         cap = data.draw(st.integers(1, 4))
-        if mode == SUBSET_MOVE and _overlap(engine, offsets):
+        if mode == SUBSET_MOVE and _overlap(engine, state):
             with pytest.raises(ValueError, match="overlap"):
-                engine.escape_at(offsets, mode, cap)
+                engine.escape_at(state, mode, cap)
             return
-        assert engine.escape_at(offsets, mode, cap) == _pairwise_escape_at(
-            engine, offsets, mode, cap
+        assert engine.escape_at(state, mode, cap) == _pairwise_escape_at(
+            engine, state, mode, cap
         )
 
     def test_subset_mode_refuses_overlapping_offsets(self):
@@ -893,16 +897,19 @@ class TestBitboardOracle:
         # out the pair's escape; the cell-set oracle lets the pair leave
         config = _config(**_doored_tray().cell_map(), X=[(4, 2)])
         engine = _Engine(config, radius=0)
-        offsets = tuple((-2, 1) if pid == "X" else (0, 0) for pid in engine.ids)
+        state = tuple(
+            (x - 2, y + 1) if pid == "X" else (x, y)
+            for pid, (x, y) in zip(engine.ids, engine.start)
+        )
         expected = (frozenset({"A", "B"}), POS_X)
-        assert _pairwise_escape_at(engine, offsets, SUBSET_MOVE, 2) == expected
+        assert _pairwise_escape_at(engine, state, SUBSET_MOVE, 2) == expected
         with pytest.raises(ValueError, match="overlap"):
-            engine.escape_at(offsets, SUBSET_MOVE, 2)
+            engine.escape_at(state, SUBSET_MOVE, 2)
         with pytest.raises(ValueError, match="overlap"):
-            list(engine.unit_moves(offsets, SUBSET_MOVE, 2))
-        # single-piece mode still reads any offsets
-        assert engine.escape_at(offsets, SINGLE_PIECE, 2) == _pairwise_escape_at(
-            engine, offsets, SINGLE_PIECE, 2
+            list(engine.unit_moves(state, SUBSET_MOVE, 2))
+        # single-piece mode still reads any state
+        assert engine.escape_at(state, SINGLE_PIECE, 2) == _pairwise_escape_at(
+            engine, state, SINGLE_PIECE, 2
         )
 
     @pytest.mark.parametrize("cap", [1, 2, DEFAULT_SUBSET_CAP])
@@ -912,9 +919,9 @@ class TestBitboardOracle:
         states = _states_near_start(engine, SUBSET_MOVE, steps=2)
         assert len(states) > 1
         sizes = set()
-        for offsets in states:
-            _check_against_cell_sets(engine, offsets, SUBSET_MOVE, cap)
-            cells = _state_cells(engine, offsets)
+        for state in states:
+            _check_against_cell_sets(engine, state, SUBSET_MOVE, cap)
+            cells = _state_cells(engine, state)
             sizes.update(map(len, _combination_contact_subsets(cells, cap)))
         assert sizes == set(range(2, cap + 1))
 
@@ -926,15 +933,15 @@ class TestBitboardOracle:
         sizes = set()
         for config, closed in _tray_corpus():
             engine = _Engine(config, radius=0)
-            for offsets in _bfs_states(engine, SUBSET_MOVE, cap):
-                _check_against_cell_sets(engine, offsets, SUBSET_MOVE, cap)
-                escape = engine.escape_at(offsets, SUBSET_MOVE, cap)
+            for state in _bfs_states(engine, SUBSET_MOVE, cap):
+                _check_against_cell_sets(engine, state, SUBSET_MOVE, cap)
+                escape = engine.escape_at(state, SUBSET_MOVE, cap)
                 # every ray meets a closed frame, and the frame's meet every tile
                 assert not (closed and escape)
                 locked += escape is None
                 escapes += escape is not None and len(escape[0]) > 1
                 sizes.update(
-                    len(ids) for ids, _, _ in engine.unit_moves(offsets, SUBSET_MOVE, cap)
+                    len(ids) for ids, _, _ in engine.unit_moves(state, SUBSET_MOVE, cap)
                 )
         assert locked > 0
         assert (escapes > 0) == (cap > 1)
@@ -949,12 +956,14 @@ class TestBitboardOracle:
             assert not is_connected(moving)
             assert not sweep_collides(moving, occupied - moving, POS_X)
         engine = _Engine(config, radius=0)
-        for offsets in _states_near_start(engine, SUBSET_MOVE, steps=1):
+        for state in _states_near_start(engine, SUBSET_MOVE, steps=1):
             for cap in range(1, 5):
-                _check_against_cell_sets(engine, offsets, SUBSET_MOVE, cap)
-        start = tuple((0, 0) for _ in engine.ids)
-        assert engine.escape_at(start, SUBSET_MOVE, 3) is None
-        assert engine.escape_at(start, SUBSET_MOVE, 4) == (frozenset("ABCD"), POS_X)
+                _check_against_cell_sets(engine, state, SUBSET_MOVE, cap)
+        assert engine.escape_at(engine.start, SUBSET_MOVE, 3) is None
+        assert engine.escape_at(engine.start, SUBSET_MOVE, 4) == (
+            frozenset("ABCD"),
+            POS_X,
+        )
 
     @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
     def test_named_instances_match_outside_the_arena(self, mode):
@@ -963,9 +972,9 @@ class TestBitboardOracle:
             case4_group(), keyhole_pair(), mutual_u_pair(), pinwheel(), z_chain(4)
         ):
             engine = _Engine(config, radius=0)
-            for offsets in _states_near_start(engine, mode, steps=3):
-                outside += not engine.in_arena(offsets)
-                _check_against_cell_sets(engine, offsets, mode, DEFAULT_SUBSET_CAP)
+            for state in _states_near_start(engine, mode, steps=3):
+                outside += not engine.in_arena(state)
+                _check_against_cell_sets(engine, state, mode, DEFAULT_SUBSET_CAP)
         assert outside > 0
 
 
