@@ -146,14 +146,6 @@ class Polyomino:
         return iter(self.cells)
 
     @property
-    def min_x(self) -> int:
-        return min(x for x, _ in self.cells)
-
-    @property
-    def min_y(self) -> int:
-        return min(y for _, y in self.cells)
-
-    @property
     def max_x(self) -> int:
         return max(x for x, _ in self.cells)
 
@@ -382,11 +374,6 @@ class Configuration:
             raise ValueError("empty configuration has no bounding box")
         xs, ys = zip(*self._owners)
         return min(xs), min(ys), max(xs), max(ys)
-
-
-def occupied_cells(config: Configuration) -> frozenset[Cell]:
-    """Union of all piece cells, read from the owner index."""
-    return frozenset(config._owners)
 
 
 def sweep_collides(

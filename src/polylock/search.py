@@ -25,14 +25,17 @@ The arena test reads the anchors: a piece lies inside the arena rectangle
 exactly when its bounding box does, that is when its anchor lies in a
 rectangle computed once per piece. Moves and escapes are tested on
 Python-int bitboards, one mask per piece per state, laid out over the
-union of the pieces' boxes in that state (see `_Engine`). A unit move is
-legal when the moving mask's step meets no other piece's bit, and a set
-escapes when a Kogge-Stone ray fill of its mask meets no other piece's
-bit. Subset mode builds only the sets that can move or escape: a set can
-step (or escape) along d exactly when it holds every piece its members'
-steps (or ray fills) meet, so it is a union of per-piece closures, grown
-over the contact graph by `_closed_sets`. The masks span the union of the
-state's boxes, which the arena bounds, so the arena's area is capped at
+union of the pieces' boxes in that state (see `_Engine`); piece p is bit
+p of every piece set. The one move parameter is the cap, the largest rigid
+set allowed to move: 1 in single-piece mode, `DEFAULT_SUBSET_CAP` in
+subset-move mode. A unit move is legal when the moving mask's step meets
+no other piece's bit, and a set escapes when the Kogge-Stone ray fill of
+its mask (`_ray_fill`) meets no other piece's bit. Above a cap of one,
+only the sets that can move or escape are built: a set can step (or
+escape) along d exactly when it holds every piece its members' steps (or
+ray fills) meet, so it is a union of per-piece closures, grown over the
+contact graph by `_closed_sets`. The masks span the union of the state's
+boxes, which the arena bounds, so the arena's area is capped at
 `MAX_ARENA_CELLS`. `slide_dependency` reads `Configuration.owner`.
 """
 
@@ -66,7 +69,6 @@ class SearchBudget:
     radius: int = 3
     max_states: int = 1_000_000
     mode: str = SINGLE_PIECE
-    subset_cap: int = DEFAULT_SUBSET_CAP
 
     def __post_init__(self):
         if not isinstance(self.radius, int) or isinstance(self.radius, bool):
@@ -83,12 +85,6 @@ class SearchBudget:
             raise ValueError(
                 f"mode must be {SINGLE_PIECE!r} or {SUBSET_MOVE!r}, got {self.mode!r}"
             )
-        if (
-            not isinstance(self.subset_cap, int)
-            or isinstance(self.subset_cap, bool)
-            or self.subset_cap < 1
-        ):
-            raise ValueError("subset_cap must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -120,13 +116,13 @@ class KeyPieceAnswer:
     trace: tuple[TraceMove, ...] | None = None
 
 
-def _piece_indices(bits: int, count: int) -> tuple[int, ...]:
-    """The ascending piece indices of a set whose piece i is bit count - 1 - i."""
+def _piece_indices(bits: int) -> tuple[int, ...]:
+    """The ascending piece indices of a set whose piece p is bit p."""
     found = []
     while bits:
-        top = bits.bit_length() - 1
-        found.append(count - 1 - top)
-        bits ^= 1 << top
+        low = bits & -bits
+        found.append(low.bit_length() - 1)
+        bits ^= low
     return tuple(found)
 
 
@@ -145,14 +141,16 @@ def _shifted(
     )
 
 
-def _slide_blocked(moving: int, others: int, direction: Direction, geometry) -> bool:
-    """Does the `moving` mask, slid to infinity, meet a bit of `others`?
+def _ray_fill(moving: int, direction: Direction, geometry, stop: int = 0) -> int:
+    """Every cell the `moving` mask sweeps, slid along `direction` to the box
+    edge, or the fill up to the first round that meets `stop`.
 
     A Kogge-Stone ray fill: each round ORs in the fill shifted by twice the
     last round's distance, so log2(box side) rounds cover the box. Along x
     the shifted bits are masked to the cells the fill may reach in one
     jump without crossing a pad column; along y nothing wraps. The test
-    runs after every round, so a slide blocked near its start stops early.
+    against `stop` runs after every round, so a slide blocked near its
+    start stops early.
     """
     _, x_rounds, y_shifts = geometry
     forward = direction.sign > 0
@@ -160,36 +158,13 @@ def _slide_blocked(moving: int, others: int, direction: Direction, geometry) -> 
     if direction.axis == "x":
         for shift, ahead, behind in x_rounds:
             fill |= (fill << shift) & ahead if forward else (fill >> shift) & behind
-            if fill & others:
-                return True
+            if fill & stop:
+                break
     else:
         for shift in y_shifts:
             fill |= fill << shift if forward else fill >> shift
-            if fill & others:
-                return True
-    return False
-
-
-def _ray_fill(moving: int, direction: Direction, geometry) -> int:
-    """Every cell the `moving` mask sweeps, slid along `direction` to the box edge.
-
-    The same Kogge-Stone rounds as `_slide_blocked`, all of them.
-    """
-    _, x_rounds, y_shifts = geometry
-    fill = moving
-    if direction.axis == "x":
-        if direction.sign > 0:
-            for shift, ahead, _ in x_rounds:
-                fill |= (fill << shift) & ahead
-        else:
-            for shift, _, behind in x_rounds:
-                fill |= (fill >> shift) & behind
-    elif direction.sign > 0:
-        for shift in y_shifts:
-            fill |= fill << shift
-    else:
-        for shift in y_shifts:
-            fill |= fill >> shift
+            if fill & stop:
+                break
     return fill
 
 
@@ -209,12 +184,7 @@ def _closures(successors, count: int, limit: int) -> list[int]:
                 large |= 1 << p
                 closed = 0
                 break
-            reach = 0
-            while new:
-                low = new & -new
-                new ^= low
-                reach |= successors[low.bit_length() - 1]
-            new = reach & ~closed
+            new = _reach(new, successors) & ~closed
             closed |= new
         closures.append(closed)
     return closures
@@ -230,21 +200,21 @@ def _reach(bits: int, relation) -> int:
     return reach
 
 
-def _contacts(by_bit: list[int], stride: int) -> tuple[list[int], list[list[int]]]:
-    """(touching, hits) of masks given with piece p as bit p.
+def _contacts(masks: list[int], stride: int) -> tuple[list[int], list[list[int]]]:
+    """(touching, hits) of the pieces' masks.
 
     touching[p] is the bit set of pieces edge-adjacent to p, and
     hits[k][p] the pieces that p's unit step along DIRECTIONS[k] meets.
     Each piece's one-step halo is tested against every later mask.
     """
-    count = len(by_bit)
+    count = len(masks)
     touching = [0] * count
     hits = [[0] * count for _ in DIRECTIONS]
-    for p, mask in enumerate(by_bit):
+    for p, mask in enumerate(masks):
         steps = (mask << 1, mask >> 1, mask << stride, mask >> stride)
         halo = steps[0] | steps[1] | steps[2] | steps[3]
         for q in range(p + 1, count):
-            other = by_bit[q]
+            other = masks[q]
             if halo & other:
                 touching[p] |= 1 << q
                 touching[q] |= 1 << p
@@ -256,9 +226,10 @@ def _contacts(by_bit: list[int], stride: int) -> tuple[list[int], list[list[int]
     return touching, hits
 
 
-def _connected(bits: int, touching: list[int]) -> bool:
-    """Does the contact graph connect the pieces of `bits`?"""
-    reached = new = bits & -bits
+def _connected(combo: tuple[int, ...], touching: list[int]) -> bool:
+    """Does the contact graph connect the pieces of `combo`?"""
+    bits = sum(1 << p for p in combo)
+    reached = new = 1 << combo[0]
     while new:
         new = _reach(new, touching) & bits & ~reached
         reached |= new
@@ -267,9 +238,9 @@ def _connected(bits: int, touching: list[int]) -> bool:
 
 def _closed_sets(
     closures: list[list[int]], touching: list[int], limit: int
-) -> list[tuple[int, list[Direction]]]:
-    """(set bits, directions) of the unions of closures of at most `limit`
-    pieces, grown one touching piece's closure at a time.
+) -> list[tuple[tuple[int, ...], list[Direction]]]:
+    """(index tuple, directions) of the unions of closures of at most
+    `limit` pieces, grown one touching piece's closure at a time.
 
     `closures[k][p]` is piece p's closure under a relation for
     DIRECTIONS[k], or 0 where it passes the limit. A set closed under the
@@ -278,8 +249,7 @@ def _closed_sets(
     a member outside the union touches it, and adding that member's closure
     stays inside the set. Unions that are not connected are kept too, as
     steps towards ones that are. The sets come by size, then by index
-    tuple (piece i is bit count - 1 - i), each with its directions in
-    `DIRECTIONS` order.
+    tuple, each with its directions in `DIRECTIONS` order.
     """
     found: dict[int, list[Direction]] = {}
     for direction, row in zip(DIRECTIONS, closures):
@@ -302,18 +272,22 @@ def _closed_sets(
             level = grown
         for bits in seen:
             found.setdefault(bits, []).append(direction)
-    return sorted(found.items(), key=lambda item: (item[0].bit_count(), -item[0]))
+    sets = [(_piece_indices(bits), directions) for bits, directions in found.items()]
+    sets.sort(key=lambda item: (len(item[0]), item[0]))
+    return sets
 
 
-def _ray_hits(by_bit: list[int], occupied: int, direction: Direction, geometry) -> list[int]:
-    """Piece p -> the bit set of pieces (piece q is bit q) that p's ray fill
-    along `direction` meets."""
+def _ray_hits(
+    masks: list[int], occupied: int, direction: Direction, geometry
+) -> list[int]:
+    """Piece p -> the bit set of pieces that p's ray fill along `direction`
+    meets."""
     hits = []
-    for mask in by_bit:
+    for mask in masks:
         fill = _ray_fill(mask, direction, geometry) & (occupied ^ mask)
         hit = 0
         if fill:
-            for q, other in enumerate(by_bit):
+            for q, other in enumerate(masks):
                 if fill & other:
                     hit |= 1 << q
         hits.append(hit)
@@ -370,27 +344,32 @@ class _Engine:
     Each piece's mask is OR-ed once per stride from precomputed per-row bit
     strips and shifted to the piece's box corner in each state.
 
+    Piece p is mask p, and bit p of every piece set. `cap` is the largest
+    rigid set allowed to move; the set-size limit below derives from it,
+    and a limit of one tests each piece alone.
+
     * A unit move of the moving mask m is legal when the step of m meets
-      no bit of occupied ^ m. Single-piece mode tests each piece so.
+      no bit of occupied ^ m. Sets are limited to min(cap, pieces).
     * A set escapes along a direction when the ray fill of its mask across
-      the box meets no other piece's bit: a cell ahead in a lane of a
-      moving cell blocks the slide, and no cell lies outside the box.
-      Single-piece mode tests each piece so (`_slide_blocked`).
-    * Subset mode refuses overlapping masks, which the BFS never makes,
-      and builds its sets with `_closed_sets`. A set of at most cap pieces
-      can step along d exactly when it is connected and closed under "p's
-      step along d meets q" (`_contacts`), and escapes along d exactly
-      when it is connected, closed under "p's ray fill along d meets q"
-      (`_ray_hits`; the fill of a union is the union of the fills) and,
-      on a board of two pieces or more, not all of them: escape closures
-      are capped one below the piece count. One-step closures are
-      connected, so every move union is; a ray closure need not be, so
-      escapes keep the connected unions only. A state where no ray closure
-      is within the cap has no escape, and its contact graph is never
-      built.
-    * Both modes order sets by (size, index tuple), the order the BFS has
-      always used, and directions as in `DIRECTIONS`, so state counts and
-      traces do not depend on the enumeration.
+      the box (`_ray_fill`) meets no other piece's bit: a cell ahead in a
+      lane of a moving cell blocks the slide, and no cell lies outside the
+      box. On a board of two pieces or more the set may not be all of
+      them, so escapes are limited to min(cap, max(pieces - 1, 1)).
+    * Every query refuses overlapping masks, which the BFS never makes: a
+      piece under a member would count as a blocker of its set.
+    * Above a limit of one, `_closed_sets` builds the sets. A set of at
+      most limit pieces can step along d exactly when it is connected and
+      closed under "p's step along d meets q" (`_contacts`), and escapes
+      along d exactly when it is connected and closed under "p's ray fill
+      along d meets q" (`_ray_hits`; the fill of a union is the union of
+      the fills). One-step closures are connected, so every move union
+      is; a ray closure need not be, so escapes keep the connected unions
+      only. A state where no ray closure is within the limit has no
+      escape, and its contact graph is never built.
+    * Sets come by (size, index tuple), the order the BFS has always used,
+      and directions as in `DIRECTIONS`, so state counts and traces do
+      not depend on the limit's path: a limit of one yields what the
+      closures would.
     """
 
     def __init__(self, config: Configuration, radius: int, key_piece: str | None = None):
@@ -464,7 +443,7 @@ class _Engine:
     def _layout(self, state: tuple[Cell, ...]) -> tuple[list[int], tuple]:
         """Each piece's mask in this state's box, and the box's geometry.
 
-        The geometry is (stride, x rounds, y shifts) for `_slide_blocked`,
+        The geometry is (stride, x rounds, y shifts) for `_ray_fill`,
         cached per box size, and the pieces' masks at their box corners are
         cached per stride.
         """
@@ -492,28 +471,26 @@ class _Engine:
         ]
         return masks, geometry
 
-    def _occupied(self, masks: list[int], mode: str) -> int:
-        """The union of the masks. Subset mode refuses overlapping pieces:
-        a piece under a member would count as a blocker of its set."""
+    def _occupied(self, masks: list[int]) -> int:
+        """The union of the masks, which may not overlap."""
         occupied = 0
         for mask in masks:
             occupied |= mask
-        if mode == SUBSET_MOVE and occupied.bit_count() != self.cell_count:
-            raise ValueError("subset-move mode needs pieces that do not overlap")
+        if occupied.bit_count() != self.cell_count:
+            raise ValueError("the search needs pieces that do not overlap")
         return occupied
 
     def unit_moves(
-        self, state: tuple[Cell, ...], mode: str, cap: int
+        self, state: tuple[Cell, ...], cap: int
     ) -> Iterator[tuple[frozenset[str], Direction, tuple[Cell, ...]]]:
         masks, (stride, _, _) = self._layout(state)
-        occupied = self._occupied(masks, mode)
+        occupied = self._occupied(masks)
         count = len(masks)
-        if mode == SUBSET_MOVE:
-            limit = min(cap, count)
-            touching, hits = _contacts(masks[::-1], stride)
+        limit = min(cap, count)
+        if limit > 1:
+            touching, hits = _contacts(masks, stride)
             closures = [_closures(relation, count, limit) for relation in hits]
-            for bits, directions in _closed_sets(closures, touching, limit):
-                combo = _piece_indices(bits, count)
+            for combo, directions in _closed_sets(closures, touching, limit):
                 names = frozenset(self.ids[i] for i in combo)
                 for direction in directions:
                     yield names, direction, _shifted(state, combo, direction)
@@ -534,49 +511,33 @@ class _Engine:
                     yield names, direction, _shifted(state, (i,), direction)
 
     def escape_at(
-        self, state: tuple[Cell, ...], mode: str, cap: int
+        self, state: tuple[Cell, ...], cap: int
     ) -> tuple[frozenset[str], Direction] | None:
         """First piece set whose slide to infinity clears everything else."""
         masks, geometry = self._layout(state)
-        occupied = self._occupied(masks, mode)
-        if mode != SUBSET_MOVE:
-            for i, moving in enumerate(masks):
-                others = occupied ^ moving
-                for direction in DIRECTIONS:
-                    if not _slide_blocked(moving, others, direction, geometry):
-                        return frozenset((self.ids[i],)), direction
-            return None
+        occupied = self._occupied(masks)
         count = len(masks)
         # a proper set: the whole system drifting away is no escape, unless
         # it is one piece
         limit = min(cap, max(count - 1, 1))
-        by_bit = masks[::-1]
+        if limit == 1:
+            for i, moving in enumerate(masks):
+                others = occupied ^ moving
+                for direction in DIRECTIONS:
+                    if not _ray_fill(moving, direction, geometry, others) & others:
+                        return frozenset((self.ids[i],)), direction
+            return None
         closures = [
-            _closures(_ray_hits(by_bit, occupied, direction, geometry), count, limit)
+            _closures(_ray_hits(masks, occupied, direction, geometry), count, limit)
             for direction in DIRECTIONS
         ]
         if not any(map(any, closures)):
             return None
-        touching, _ = _contacts(by_bit, geometry[0])
-        for bits, directions in _closed_sets(closures, touching, limit):
-            if _connected(bits, touching):
-                combo = _piece_indices(bits, count)
+        touching, _ = _contacts(masks, geometry[0])
+        for combo, directions in _closed_sets(closures, touching, limit):
+            if _connected(combo, touching):
                 return frozenset(self.ids[i] for i in combo), directions[0]
         return None
-
-
-def legal_moves(
-    config: Configuration,
-    mode: str = SINGLE_PIECE,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
-) -> list[tuple[frozenset[str], Direction]]:
-    """All legal unit moves from a configuration, in deterministic order."""
-    SearchBudget(radius=0, mode=mode, subset_cap=subset_cap)  # checks mode and cap
-    engine = _Engine(config, radius=0)
-    return [
-        (piece_ids, direction)
-        for piece_ids, direction, _ in engine.unit_moves(engine.start, mode, subset_cap)
-    ]
 
 
 def _rebuild_trace(states, state_key) -> tuple[TraceMove, ...]:
@@ -596,21 +557,23 @@ def _explore(
     goal: Callable,
     key_piece: str | None = None,
 ):
-    """Shared BFS core; returns (status, payload, states_explored, trace)."""
+    """Shared BFS core; returns (status, payload, states_explored, trace).
+
+    `goal(engine, state, cap)` is tested at every reached state.
+    """
+    cap = 1 if budget.mode == SINGLE_PIECE else DEFAULT_SUBSET_CAP
     engine = _Engine(config, budget.radius, key_piece=key_piece)
     start = engine.start
     start_key = engine.state_key(start)
     states = {start_key: (start, None, None)}
-    payload = goal(engine, start)
+    payload = goal(engine, start, cap)
     if payload is not None:
         return "hit", payload, 1, ()
 
     frontier = deque([start_key])
     while frontier:
         current = frontier.popleft()
-        for piece_ids, direction, moved in engine.unit_moves(
-            states[current][0], budget.mode, budget.subset_cap
-        ):
+        for piece_ids, direction, moved in engine.unit_moves(states[current][0], cap):
             normalized = engine.normalize(moved)
             if not engine.in_arena(normalized):
                 continue
@@ -620,7 +583,7 @@ def _explore(
             if len(states) >= budget.max_states:
                 return "out-of-budget", None, len(states), None
             states[state_key] = (normalized, current, (piece_ids, direction))
-            payload = goal(engine, normalized)
+            payload = goal(engine, normalized, cap)
             if payload is not None:
                 return "hit", payload, len(states), _rebuild_trace(states, state_key)
             frontier.append(state_key)
@@ -638,10 +601,7 @@ def escape_search(config: Configuration, budget: SearchBudget) -> SearchVerdict:
     if len(config) == 0:
         raise ValueError("escape search needs at least one piece")
 
-    def goal(engine, state):
-        return engine.escape_at(state, budget.mode, budget.subset_cap)
-
-    status, payload, explored, trace = _explore(config, budget, goal)
+    status, payload, explored, trace = _explore(config, budget, _Engine.escape_at)
     if status == "hit":
         piece_ids, direction = payload
         return SearchVerdict(
@@ -680,7 +640,7 @@ def key_piece_reachable(
 
     target = (anchor[0] + displacement[0], anchor[1] + displacement[1])
 
-    def goal(engine, state):
+    def goal(engine, state, _cap):
         if state[engine.index[key]] == target:
             return True
         return None
@@ -746,7 +706,6 @@ __all__ = [
     "SearchVerdict",
     "escape_search",
     "key_piece_reachable",
-    "legal_moves",
     "replay_trace",
     "slide_dependency",
 ]

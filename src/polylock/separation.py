@@ -167,16 +167,16 @@ def plan_uto(config: Configuration, direction: Direction) -> SeparationPlan | No
     the board, and a heap keyed by (-extreme, id) holds exactly the pieces
     whose count is zero, which is the ready set of the step.
     """
-    graph = blocking_graph(config, direction)
-    blockers: dict[str, set[str]] = {pid: set() for pid in graph.nodes}
-    blocks: dict[str, list[str]] = {pid: [] for pid in graph.nodes}
-    for blocker, blocked in graph.edges:
-        blockers[blocked].add(blocker)
-        blocks[blocker].append(blocked)
+    ids = config.piece_ids()
+    blockers = {pid: config.blockers((pid,), direction) for pid in ids}
+    blocks: dict[str, list[str]] = {pid: [] for pid in ids}
+    for blocked, found in blockers.items():
+        for blocker in found:
+            blocks[blocker].append(blocked)
     cells = config.cell_map()
-    key = {pid: (-_extreme(cells[pid], direction), pid) for pid in graph.nodes}
-    waiting = {pid: len(blockers[pid]) for pid in graph.nodes}
-    ready = [key[pid] for pid in graph.nodes if not waiting[pid]]
+    key = {pid: (-_extreme(cells[pid], direction), pid) for pid in ids}
+    waiting = {pid: len(blockers[pid]) for pid in ids}
+    ready = [key[pid] for pid in ids if not waiting[pid]]
     heapq.heapify(ready)
     order: list[str] = []
     while ready:
@@ -186,8 +186,8 @@ def plan_uto(config: Configuration, direction: Direction) -> SeparationPlan | No
             waiting[blocked] -= 1
             if not waiting[blocked]:
                 heapq.heappush(ready, key[blocked])
-    if len(order) < len(graph.nodes):
-        remaining = set(graph.nodes).difference(order)
+    if len(order) < len(ids):
+        remaining = set(ids).difference(order)
         return NoUto(direction, _find_cycle(blockers, remaining))
     return SeparationPlan(
         tuple(Move(frozenset({pid}), direction) for pid in order)

@@ -15,7 +15,6 @@ from polylock.grid import (
     Direction,
     Lanes,
     Polyomino,
-    occupied_cells,
 )
 from polylock.search import MAX_ARENA_CELLS, replay_trace
 from polylock.formats import emit_grid, emit_structured
@@ -252,7 +251,7 @@ def test_key_trace_survives_a_shift_of_every_piece(write, capsys):
         {"A": [(0, 0), (1, 0)], "B": [(0, 1), (0, 2)], "C": [(1, 1)]}
     )
     first = replay_trace(config, ((frozenset("A"), Direction.POS_X),))
-    assert min(occupied_cells(first)) in first.cells_of("B")
+    assert min(min(cells) for cells in first.cell_map().values()) in first.cells_of("B")
     path = write("l.cfg", emit_structured(config))
     argv = ["key", path, "--piece", "A", "--dx", "1", "--dy", "2", "--radius", "1"]
     assert main(argv) == 0

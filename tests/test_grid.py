@@ -31,7 +31,6 @@ from polylock.grid import (
     enumerate_free,
     fixed_orientations,
     neighbors,
-    occupied_cells,
     sweep_collides,
     translate_cells,
 )
@@ -227,7 +226,7 @@ def test_enumerate_free_rejects_out_of_range():
 def test_enumerate_free_output_is_canonical():
     for shape in enumerate_free(5):
         assert canonical_free_form(shape) == shape
-        assert shape.min_x == 0 and shape.min_y == 0
+        assert min(x for x, _ in shape) == 0 and min(y for _, y in shape) == 0
 
 
 def test_enumerate_free_matches_the_tuple_enumerator():
@@ -318,19 +317,8 @@ def test_direction_axes_and_signs():
 
 
 # --------------------------------------------------------------------------
-# Configuration / occupied_cells
+# Configuration
 # --------------------------------------------------------------------------
-
-
-def test_occupied_cells_empty_config():
-    assert occupied_cells(Configuration.from_cell_map({})) == frozenset()
-
-
-def test_occupied_cells_union():
-    config = Configuration.from_cell_map(
-        {"a": [(0, 0), (1, 0)], "b": [(3, 0), (3, 1)]}
-    )
-    assert occupied_cells(config) == frozenset({(0, 0), (1, 0), (3, 0), (3, 1)})
 
 
 def test_overlap_error_names_both_pieces():
@@ -446,8 +434,8 @@ def assert_same_configuration(got, expected):
     """Equal pieces and indexes: cells in piece order, owners, box."""
     assert got == expected
     assert list(got.cell_map().items()) == list(expected.cell_map().items())
-    assert occupied_cells(got) == occupied_cells(expected)
-    for cell in occupied_cells(expected):
+    assert got._owners == expected._owners
+    for cell in expected._owners:
         for probe in (cell, *neighbors(cell)):
             assert got.owner(probe) == expected.owner(probe), probe
     if len(expected):

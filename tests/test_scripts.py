@@ -46,3 +46,12 @@ def test_find_pinwheel_help_runs():
     result = _run("scripts/find_pinwheel.py", "--help")
     assert result.returncode == 0, result.stderr
     assert "usage:" in result.stdout
+
+
+def test_find_pinwheel_counts_every_locked_candidate():
+    # single-piece escape searches on every pinwheel of four congruent
+    # hexominoes in 6x6, 7x7 and 8x8 windows
+    result = _run("scripts/find_pinwheel.py", "--all")
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "candidates searched: 7548, locked found: 40\n"
+    assert result.stdout.count("locked candidate in") == 40

@@ -23,11 +23,10 @@ from polylock import (
     SearchBudget,
     escape_search,
     key_piece_reachable,
-    legal_moves,
     replay_trace,
     slide_dependency,
 )
-from polylock.grid import is_connected, occupied_cells, sweep_collides, translate_cells
+from polylock.grid import is_connected, sweep_collides, translate_cells
 from polylock.instances import (
     case4_group,
     keyhole_pair,
@@ -50,6 +49,22 @@ POS_X, NEG_X, POS_Y, NEG_Y = (
 
 def _config(**pieces):
     return Configuration.from_cell_map(pieces)
+
+
+def _occupied(config):
+    return set().union(*config.cell_map().values())
+
+
+def _cap(mode, cap=DEFAULT_SUBSET_CAP):
+    """The engine's cap in `mode`: one piece, or `cap` in subset mode."""
+    return cap if mode == SUBSET_MOVE else 1
+
+
+def _moves(config, cap=1):
+    """The legal unit moves from a configuration, in the engine's order."""
+    engine = _Engine(config, radius=0)
+    moves = engine.unit_moves(engine.start, cap)
+    return [(ids, direction) for ids, direction, _ in moves]
 
 
 def _without(config, piece_ids):
@@ -81,9 +96,9 @@ class TestSearchBudget:
             {"max_states": 0},
             {"max_states": -5},
             {"mode": "diagonal"},
-            {"subset_cap": 0},
+            {"max_states": 2.5},
             {"max_states": True},
-            {"subset_cap": True},
+            {"radius": "3"},
         ],
     )
     def test_rejects_bad_limits(self, kwargs):
@@ -99,7 +114,7 @@ class TestSearchBudget:
 
 class TestLegalMoves:
     def test_lone_piece_moves_every_direction(self):
-        moves = legal_moves(_config(A=[(0, 0), (1, 0)]))
+        moves = _moves(_config(A=[(0, 0), (1, 0)]))
         assert moves == [
             (frozenset({"A"}), POS_X),
             (frozenset({"A"}), NEG_X),
@@ -108,18 +123,18 @@ class TestLegalMoves:
         ]
 
     def test_snug_box_has_no_moves(self):
-        assert legal_moves(_snug_box()) == []
+        assert _moves(_snug_box()) == []
 
     def test_pinwheel_has_no_single_piece_moves(self):
-        assert legal_moves(pinwheel()) == []
+        assert _moves(pinwheel()) == []
 
     def test_pinwheel_pairs_move_in_subset_mode(self):
-        moves = legal_moves(pinwheel(), mode=SUBSET_MOVE)
+        moves = _moves(pinwheel(), DEFAULT_SUBSET_CAP)
         assert (frozenset({"A", "B"}), NEG_Y) in moves
         assert all(len(ids) > 1 for ids, _ in moves)
 
     def test_keyhole_move_order_is_deterministic(self):
-        moves = legal_moves(keyhole_pair())
+        moves = _moves(keyhole_pair())
         assert moves == [
             (frozenset({"K"}), POS_X),
             (frozenset({"R"}), NEG_X),
@@ -127,26 +142,19 @@ class TestLegalMoves:
 
     def test_blocked_neighbour_frees_up_after_a_step(self):
         config = z_chain(2)
-        assert (frozenset({"Z1"}), NEG_X) not in legal_moves(config)
+        assert (frozenset({"Z1"}), NEG_X) not in _moves(config)
         stepped = replay_trace(config, ((frozenset({"Z0"}), NEG_X),))
-        assert (frozenset({"Z1"}), NEG_X) in legal_moves(stepped)
+        assert (frozenset({"Z1"}), NEG_X) in _moves(stepped)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            {"mode": "rigid"},
-            {"subset_cap": 0},
-            {"subset_cap": -1},
-            {"subset_cap": True},
-            {"subset_cap": 2.5},
-            {"subset_cap": "x"},
-            {"mode": SUBSET_MOVE, "subset_cap": 0},
-        ],
+        [{"mode": "rigid"}],
         ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
     )
     def test_rejects_bad_arguments(self, kwargs):
+        # the move mode is the one move parameter a search takes
         with pytest.raises(ValueError):
-            legal_moves(_config(A=[(0, 0)]), **kwargs)
+            SearchBudget(**kwargs)
 
 
 class TestEscapeSearch:
@@ -404,7 +412,7 @@ def _oracle_search(config, radius, mode, key=None, displacement=None):
     min_x, min_y, max_x, max_y = config.bounding_box()
     arena = (min_x - radius, min_y - radius, max_x + radius, max_y + radius)
     reach = max(max_x - min_x, max_y - min_y) + 2 * radius + 1
-    origin = min(occupied_cells(config))
+    origin = min(_occupied(config))
     largest = 1 if mode == SINGLE_PIECE else min(DEFAULT_SUBSET_CAP, len(ids))
     move_sets = [
         combo
@@ -464,7 +472,7 @@ def _oracle_search(config, radius, mode, key=None, displacement=None):
                     continue
                 if not all(
                     arena[0] <= x <= arena[2] and arena[1] <= y <= arena[3]
-                    for x, y in occupied_cells(moved)
+                    for x, y in _occupied(moved)
                 ):
                     continue
                 state = frozenset(moved.cell_map().items())
@@ -647,7 +655,7 @@ def _states_near_start(engine, mode, steps, limit=25):
     for _ in range(steps):
         following = []
         for state in layer:
-            for _, _, moved in engine.unit_moves(state, mode, DEFAULT_SUBSET_CAP):
+            for _, _, moved in engine.unit_moves(state, _cap(mode)):
                 moved = engine.normalize(moved)
                 if moved not in seen and len(seen) < limit:
                     seen.append(moved)
@@ -672,7 +680,7 @@ def _escape_pairs(config, mode, steps):
     engine = _Engine(config, radius=2)
     return [
         (
-            engine.escape_at(state, mode, DEFAULT_SUBSET_CAP),
+            engine.escape_at(state, _cap(mode)),
             _pairwise_escape_at(engine, state, mode, DEFAULT_SUBSET_CAP),
         )
         for state in _states_near_start(engine, mode, steps)
@@ -715,10 +723,10 @@ class TestEscapeAtOracle:
 
 def _check_against_cell_sets(engine, state, mode, cap):
     """Unit moves and escapes agree with the cell-set oracles."""
-    assert list(engine.unit_moves(state, mode, cap)) == list(
+    assert list(engine.unit_moves(state, _cap(mode, cap))) == list(
         _cell_set_unit_moves(engine, state, mode, cap)
     )
-    assert engine.escape_at(state, mode, cap) == _pairwise_escape_at(
+    assert engine.escape_at(state, _cap(mode, cap)) == _pairwise_escape_at(
         engine, state, mode, cap
     )
 
@@ -810,7 +818,7 @@ def _bfs_states(engine, mode, cap):
     seen = {engine.state_key(engine.start)}
     states = [engine.start]
     for state in states:
-        for _, _, moved in engine.unit_moves(state, mode, cap):
+        for _, _, moved in engine.unit_moves(state, _cap(mode, cap)):
             moved = engine.normalize(moved)
             key = engine.state_key(moved)
             if engine.in_arena(moved) and key not in seen:
@@ -852,19 +860,18 @@ class TestBitboardOracle:
     )
     @settings(max_examples=40, deadline=None)
     def test_unit_moves_match_on_any_offsets(self, mode, seed, data):
-        # single-piece mode reads `occupied - moving` on overlapping pieces
-        # too; subset mode refuses them
+        # every cap refuses overlapping pieces, which no BFS state has
         spec = PackingSpec(width=5, height=5, max_pieces=6, max_cells=4)
         config = random_packing(seed, spec)
         assume(len(config) > 0)
         engine = _Engine(config, radius=0)
         state = _drawn_state(engine, data)
         cap = data.draw(st.integers(1, 4))
-        if mode == SUBSET_MOVE and _overlap(engine, state):
+        if _overlap(engine, state):
             with pytest.raises(ValueError, match="overlap"):
-                list(engine.unit_moves(state, mode, cap))
+                list(engine.unit_moves(state, _cap(mode, cap)))
             return
-        assert list(engine.unit_moves(state, mode, cap)) == list(
+        assert list(engine.unit_moves(state, _cap(mode, cap))) == list(
             _cell_set_unit_moves(engine, state, mode, cap)
         )
 
@@ -875,19 +882,19 @@ class TestBitboardOracle:
     )
     @settings(max_examples=40, deadline=None)
     def test_escape_at_matches_on_any_offsets(self, mode, seed, data):
-        # subset mode refuses overlapping pieces: its ray closures would
-        # count a piece under a moving one as a blocker
+        # every cap refuses overlapping pieces: ray closures would count a
+        # piece under a moving one as a blocker
         spec = PackingSpec(width=5, height=5, max_pieces=6, max_cells=4)
         config = random_packing(seed, spec)
         assume(len(config) > 0)
         engine = _Engine(config, radius=0)
         state = _drawn_state(engine, data)
         cap = data.draw(st.integers(1, 4))
-        if mode == SUBSET_MOVE and _overlap(engine, state):
+        if _overlap(engine, state):
             with pytest.raises(ValueError, match="overlap"):
-                engine.escape_at(state, mode, cap)
+                engine.escape_at(state, _cap(mode, cap))
             return
-        assert engine.escape_at(state, mode, cap) == _pairwise_escape_at(
+        assert engine.escape_at(state, _cap(mode, cap)) == _pairwise_escape_at(
             engine, state, mode, cap
         )
 
@@ -904,13 +911,12 @@ class TestBitboardOracle:
         expected = (frozenset({"A", "B"}), POS_X)
         assert _pairwise_escape_at(engine, state, SUBSET_MOVE, 2) == expected
         with pytest.raises(ValueError, match="overlap"):
-            engine.escape_at(state, SUBSET_MOVE, 2)
+            engine.escape_at(state, 2)
         with pytest.raises(ValueError, match="overlap"):
-            list(engine.unit_moves(state, SUBSET_MOVE, 2))
-        # single-piece mode still reads any state
-        assert engine.escape_at(state, SINGLE_PIECE, 2) == _pairwise_escape_at(
-            engine, state, SINGLE_PIECE, 2
-        )
+            list(engine.unit_moves(state, 2))
+        # so does a cap of one, which tests each piece alone
+        with pytest.raises(ValueError, match="overlap"):
+            engine.escape_at(state, 1)
 
     @pytest.mark.parametrize("cap", [1, 2, DEFAULT_SUBSET_CAP])
     def test_tray_with_key_matches(self, cap):
@@ -935,13 +941,13 @@ class TestBitboardOracle:
             engine = _Engine(config, radius=0)
             for state in _bfs_states(engine, SUBSET_MOVE, cap):
                 _check_against_cell_sets(engine, state, SUBSET_MOVE, cap)
-                escape = engine.escape_at(state, SUBSET_MOVE, cap)
+                escape = engine.escape_at(state, cap)
                 # every ray meets a closed frame, and the frame's meet every tile
                 assert not (closed and escape)
                 locked += escape is None
                 escapes += escape is not None and len(escape[0]) > 1
                 sizes.update(
-                    len(ids) for ids, _, _ in engine.unit_moves(state, SUBSET_MOVE, cap)
+                    len(ids) for ids, _, _ in engine.unit_moves(state, cap)
                 )
         assert locked > 0
         assert (escapes > 0) == (cap > 1)
@@ -950,7 +956,7 @@ class TestBitboardOracle:
     def test_escape_through_ray_closures_that_are_not_connected(self):
         config = _hooked_pairs_tray()
         cells = config.cell_map()
-        occupied = occupied_cells(config)
+        occupied = _occupied(config)
         for pair in ("AC", "BD"):
             moving = set().union(*(cells[pid] for pid in pair))
             assert not is_connected(moving)
@@ -959,8 +965,8 @@ class TestBitboardOracle:
         for state in _states_near_start(engine, SUBSET_MOVE, steps=1):
             for cap in range(1, 5):
                 _check_against_cell_sets(engine, state, SUBSET_MOVE, cap)
-        assert engine.escape_at(engine.start, SUBSET_MOVE, 3) is None
-        assert engine.escape_at(engine.start, SUBSET_MOVE, 4) == (
+        assert engine.escape_at(engine.start, 3) is None
+        assert engine.escape_at(engine.start, 4) == (
             frozenset("ABCD"),
             POS_X,
         )
