@@ -17,13 +17,19 @@ deduplicated up to two quotients, both read from anchors:
   cell, because the minimum of a union is the minimum of its parts;
 * piece identity: pieces with identical cell shapes (same up to
   translation, and not the designated key piece) are interchangeable, so
-  states that merely permute them coincide. The state key is the sorted
-  (shape class, anchor) pairs: a translate of a shape is fixed by where its
-  anchor lands. Traces still name concrete piece ids and replay legally.
+  states that merely permute them coincide. A translate of a shape is fixed
+  by where its anchor lands, so a piece's code is its class times the
+  arena's area plus its anchor's row-major index in the arena, and the
+  state key is the sorted codes. Keys are built only for states inside the
+  arena, so equal keys are equal multisets of (class, anchor) pairs.
 
 The arena test reads the anchors: a piece lies inside the arena rectangle
 exactly when its bounding box does, that is when its anchor lies in a
-rectangle computed once per piece. Moves and escapes are tested on
+rectangle computed once per piece. A child that did not drift differs from
+its parent, which lies in the arena, only in its moved pieces: only they
+are tested, and its key is the parent's with their codes replaced. Moves
+name pieces by index; a trace names them by id along its own path only,
+and replays legally. Moves and escapes are tested on
 Python-int bitboards, one mask per piece per state, laid out over the
 union of the pieces' boxes in that state (see `_Engine`); piece p is bit
 p of every piece set. The one move parameter is the cap, the largest rigid
@@ -328,8 +334,11 @@ class _Engine:
     A state is only the tuple of the pieces' anchor cells, in sorted id
     order, and `start` is the input's. The engine keeps each piece's form
     (its cells relative to its anchor), the extent of its box around the
-    anchor, and the rectangle its anchor may take inside the arena. So
-    drift, arena and state key read the anchors alone, in O(pieces).
+    anchor, the rectangle its anchor may take inside the arena, and its
+    code base: its code at anchor (x, y) is base + y * arena width + x.
+    So drift, arena and state key read the anchors alone, `unit_moves`
+    names moving pieces by index, and `child` tests and keys a child that
+    did not drift in O(moved pieces).
 
     Moves and escapes are tested on Python-int bitboards laid out per state
     by `_layout`. The layout is the union of the pieces' bounding boxes in
@@ -391,9 +400,9 @@ class _Engine:
         self.highs = tuple(max(y for _, y in form) for form in self.forms)
 
         # congruent non-key pieces share a shape class; the key gets its own
-        shapes: dict[tuple[Cell, ...], int] = {}
+        shapes: dict[tuple[Cell, ...] | None, int] = {}
         self.classes = tuple(
-            -1 if pid == key_piece else shapes.setdefault(form, len(shapes))
+            shapes.setdefault(None if pid == key_piece else form, len(shapes))
             for pid, form in zip(self.ids, self.forms)
         )
 
@@ -413,6 +422,8 @@ class _Engine:
             for low, right, high in zip(self.lows, self.rights, self.highs)
         )
         self.initial_min = min(self.start)
+        self.arena_width = width
+        self.bases = tuple(c * width * height - y0 * width - x0 for c in self.classes)
 
         # each piece's cells as (row above its box corner, bit strip) pairs
         strips: list[dict[int, int]] = [{} for _ in self.ids]
@@ -437,8 +448,31 @@ class _Engine:
                 return False
         return True
 
-    def state_key(self, state: tuple[Cell, ...]):
-        return tuple(sorted(zip(self.classes, state)))
+    def state_key(self, state: tuple[Cell, ...]) -> tuple[int, ...]:
+        width = self.arena_width
+        codes = [base + y * width + x for base, (x, y) in zip(self.bases, state)]
+        return tuple(sorted(codes))
+
+    def child(self, key, parent, combo, moved) -> tuple[tuple[Cell, ...], tuple | None]:
+        """(normalized child, key) of the state `parent`, keyed `key`, after
+        the pieces of `combo` moved to `moved`; the key is None off the arena."""
+        normalized = self.normalize(moved)
+        # `normalize` hands back `moved` itself unless the child drifted
+        if normalized is not moved:
+            inside = self.in_arena(normalized)
+            return normalized, self.state_key(normalized) if inside else None
+        codes = list(key)
+        width, bases, bounds = self.arena_width, self.bases, self.anchor_bounds
+        for i in combo:
+            x, y = moved[i]
+            x0, y0, x1, y1 = bounds[i]
+            if not (x0 <= x <= x1 and y0 <= y <= y1):
+                return moved, None
+            px, py = parent[i]
+            codes.remove(bases[i] + py * width + px)
+            codes.append(bases[i] + y * width + x)
+        codes.sort()
+        return moved, tuple(codes)
 
     def _layout(self, state: tuple[Cell, ...]) -> tuple[list[int], tuple]:
         """Each piece's mask in this state's box, and the box's geometry.
@@ -482,7 +516,7 @@ class _Engine:
 
     def unit_moves(
         self, state: tuple[Cell, ...], cap: int
-    ) -> Iterator[tuple[frozenset[str], Direction, tuple[Cell, ...]]]:
+    ) -> Iterator[tuple[tuple[int, ...], Direction, tuple[Cell, ...]]]:
         masks, (stride, _, _) = self._layout(state)
         occupied = self._occupied(masks)
         count = len(masks)
@@ -491,9 +525,8 @@ class _Engine:
             touching, hits = _contacts(masks, stride)
             closures = [_closures(relation, count, limit) for relation in hits]
             for combo, directions in _closed_sets(closures, touching, limit):
-                names = frozenset(self.ids[i] for i in combo)
                 for direction in directions:
-                    yield names, direction, _shifted(state, combo, direction)
+                    yield combo, direction, _shifted(state, combo, direction)
             return
         for i, moving in enumerate(masks):
             others = occupied ^ moving
@@ -505,10 +538,10 @@ class _Engine:
             )
             if all(hits):
                 continue
-            names = frozenset((self.ids[i],))
+            combo = (i,)
             for direction, hit in zip(DIRECTIONS, hits):
                 if not hit:
-                    yield names, direction, _shifted(state, (i,), direction)
+                    yield combo, direction, _shifted(state, combo, direction)
 
     def escape_at(
         self, state: tuple[Cell, ...], cap: int
@@ -540,13 +573,14 @@ class _Engine:
         return None
 
 
-def _rebuild_trace(states, state_key) -> tuple[TraceMove, ...]:
+def _rebuild_trace(states, state_key, ids) -> tuple[TraceMove, ...]:
     moves = []
     while True:
         _, parent, move = states[state_key]
         if parent is None:
             break
-        moves.append(move)
+        combo, direction = move
+        moves.append((frozenset(ids[i] for i in combo), direction))
         state_key = parent
     return tuple(reversed(moves))
 
@@ -573,19 +607,18 @@ def _explore(
     frontier = deque([start_key])
     while frontier:
         current = frontier.popleft()
-        for piece_ids, direction, moved in engine.unit_moves(states[current][0], cap):
-            normalized = engine.normalize(moved)
-            if not engine.in_arena(normalized):
-                continue
-            state_key = engine.state_key(normalized)
-            if state_key in states:
+        parent = states[current][0]
+        for combo, direction, moved in engine.unit_moves(parent, cap):
+            child, state_key = engine.child(current, parent, combo, moved)
+            if state_key is None or state_key in states:
                 continue
             if len(states) >= budget.max_states:
                 return "out-of-budget", None, len(states), None
-            states[state_key] = (normalized, current, (piece_ids, direction))
-            payload = goal(engine, normalized, cap)
+            states[state_key] = (child, current, (combo, direction))
+            payload = goal(engine, child, cap)
             if payload is not None:
-                return "hit", payload, len(states), _rebuild_trace(states, state_key)
+                trace = _rebuild_trace(states, state_key, engine.ids)
+                return "hit", payload, len(states), trace
             frontier.append(state_key)
     return "exhausted", None, len(states), None
 

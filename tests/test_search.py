@@ -60,10 +60,18 @@ def _cap(mode, cap=DEFAULT_SUBSET_CAP):
     return cap if mode == SUBSET_MOVE else 1
 
 
+def _named_moves(engine, state, cap):
+    """`unit_moves` with each moving index tuple mapped to its piece ids."""
+    return [
+        (frozenset(engine.ids[i] for i in combo), direction, moved)
+        for combo, direction, moved in engine.unit_moves(state, cap)
+    ]
+
+
 def _moves(config, cap=1):
     """The legal unit moves from a configuration, in the engine's order."""
     engine = _Engine(config, radius=0)
-    moves = engine.unit_moves(engine.start, cap)
+    moves = _named_moves(engine, engine.start, cap)
     return [(ids, direction) for ids, direction, _ in moves]
 
 
@@ -723,7 +731,7 @@ class TestEscapeAtOracle:
 
 def _check_against_cell_sets(engine, state, mode, cap):
     """Unit moves and escapes agree with the cell-set oracles."""
-    assert list(engine.unit_moves(state, _cap(mode, cap))) == list(
+    assert _named_moves(engine, state, _cap(mode, cap)) == list(
         _cell_set_unit_moves(engine, state, mode, cap)
     )
     assert engine.escape_at(state, _cap(mode, cap)) == _pairwise_escape_at(
@@ -871,7 +879,7 @@ class TestBitboardOracle:
             with pytest.raises(ValueError, match="overlap"):
                 list(engine.unit_moves(state, _cap(mode, cap)))
             return
-        assert list(engine.unit_moves(state, _cap(mode, cap))) == list(
+        assert _named_moves(engine, state, _cap(mode, cap)) == list(
             _cell_set_unit_moves(engine, state, mode, cap)
         )
 
@@ -984,6 +992,93 @@ class TestBitboardOracle:
         assert outside > 0
 
 
+def _oracle_key(engine, state):
+    """The state key as the sorted (shape class, anchor) pairs."""
+    return tuple(sorted(zip(engine.classes, state)))
+
+
+def _check_children(engine, mode, limit=300):
+    """Walk the BFS on the full arena test and key, checking `child` on
+    every generated child against them and the keys against the oracle."""
+    start_key = engine.state_key(engine.start)
+    states = {start_key: engine.start}
+    oracle = {start_key: _oracle_key(engine, engine.start)}
+    queue = [start_key]
+    for key in queue:
+        parent = states[key]
+        for combo, _, moved in engine.unit_moves(parent, _cap(mode)):
+            normalized = engine.normalize(moved)
+            child, child_key = engine.child(key, parent, combo, moved)
+            assert child == normalized
+            assert (child_key is not None) == engine.in_arena(normalized)
+            if child_key is None:
+                continue
+            assert child_key == engine.state_key(normalized)
+            expected = _oracle_key(engine, normalized)
+            assert oracle.setdefault(child_key, expected) == expected
+            if child_key not in states and len(states) < limit:
+                states[child_key] = normalized
+                queue.append(child_key)
+    # equal keys have equal oracle keys, and distinct keys distinct ones
+    assert len(set(oracle.values())) == len(oracle)
+    return len(states)
+
+
+class TestStateKey:
+    """A child's key and arena test, in O(moved pieces) when it did not
+    drift, against the full test and the (class, anchor) pairs."""
+
+    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
+    @given(
+        seed=st.integers(0, 10_000),
+        side=st.integers(2, 6),
+        density=st.sampled_from([0.5, 0.8, 1.0]),
+        radius=st.integers(0, 2),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_children_match_the_full_key(self, mode, seed, side, density, radius, data):
+        spec = PackingSpec(
+            width=side, height=side, max_pieces=8, max_cells=5, target_density=density
+        )
+        config = random_packing(seed, spec)
+        assume(len(config) > 0)
+        key = data.draw(st.sampled_from([None, *sorted(config.piece_ids())]))
+        _check_children(_Engine(config, radius, key_piece=key), mode, limit=100)
+
+    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
+    def test_tray_children_match_the_full_key(self, mode):
+        # a key tile trades places with tiles of its shape but not its class
+        for config, closed in _tray_corpus():
+            for key in (None, max(config.piece_ids())):
+                for radius in (0, 1):
+                    engine = _Engine(config, radius, key_piece=key)
+                    reached = _check_children(engine, mode)
+                    assert reached > 1 or not closed
+
+    def test_child_reaches_both_arena_paths(self):
+        # at radius 0 the arena is the row x = 0..2, and A holds the
+        # smallest anchor
+        engine = _Engine(_config(A=[(0, 0)], B=[(2, 0)]), radius=0)
+        start = engine.start
+        key = engine.state_key(start)
+        inward = ((0, 0), (1, 0))
+        inward_key = engine.state_key(inward)
+        # A steps -x, so the board drifts +x and B leaves the arena
+        assert engine.child(key, start, (0,), ((-1, 0), (2, 0))) == (
+            ((0, 0), (3, 0)),
+            None,
+        )
+        # B steps +x: no drift, and B leaves the arena
+        assert engine.child(key, start, (1,), ((0, 0), (3, 0))) == (
+            ((0, 0), (3, 0)),
+            None,
+        )
+        # A's step +x drifts the board back, B's step -x does not drift
+        assert engine.child(key, start, (0,), ((1, 0), (2, 0))) == (inward, inward_key)
+        assert engine.child(key, start, (1,), inward) == (inward, inward_key)
+
+
 class TestStateCounts:
     """Exact counts that pin the BFS order; they repeat on every run."""
 
@@ -999,6 +1094,15 @@ class TestStateCounts:
         assert answer.outcome == "reachable"
         assert answer.states_explored == 226
         assert replay_trace(config, answer.trace).cells_of("K") == frozenset({(4, 4)})
+
+    def test_wide_key_search_is_unreachable_after_1260_states(self):
+        # the target lies off T00's arena rectangle, so the search visits
+        # every state: 36 hole cells times 35 cells for T00
+        answer = key_piece_reachable(
+            _framed_tray(6, (6, 6)), "T00", (-20, 0), SearchBudget(radius=3)
+        )
+        assert answer.outcome == "unreachable-within-budget"
+        assert answer.states_explored == 1260
 
     def test_framed_6x6_subset_tray_is_locked_after_36_states(self):
         budget = SearchBudget(radius=2, mode=SUBSET_MOVE)
