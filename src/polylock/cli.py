@@ -290,7 +290,7 @@ def _add_budget_flags(parser) -> None:
     parser.add_argument(
         "--radius",
         type=int,
-        default=3,
+        default=SearchBudget.radius,
         help=(
             "arena margin around the bounding box (default %(default)s); "
             f"an arena over {MAX_ARENA_CELLS} cells is refused with exit 1"
@@ -299,7 +299,7 @@ def _add_budget_flags(parser) -> None:
     parser.add_argument(
         "--max-states",
         type=int,
-        default=1_000_000,
+        default=SearchBudget.max_states,
         help="stop with exit 3 after this many states (default %(default)s)",
     )
     parser.add_argument("--mode", choices=("single", "subset"), default="single")

@@ -247,7 +247,11 @@ def enumerate_free(n: int) -> list[Polyomino]:
     Grows each (n-1)-cell representative by every neighbouring cell and dedups
     on the integer canonical key. Capped at 10 cells to keep runtime sane.
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_ENUMERATION_CELLS:
+    if (
+        not isinstance(n, int)
+        or isinstance(n, bool)
+        or not 1 <= n <= MAX_ENUMERATION_CELLS
+    ):
         raise ValueError(
             f"cell count must be an integer in 1..{MAX_ENUMERATION_CELLS}, got {n!r}"
         )

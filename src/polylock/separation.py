@@ -2,12 +2,16 @@
 
 A plan removes pieces one move at a time: each move slides a rigid set of
 pieces to infinity along one axis direction and takes it off the board.
-`plan_uto` builds single-direction plans from the blocking graph and reports
-a witnessing cycle when none exists. `separate_le5` handles systems whose
-pieces have at most five cells: each U-pentomino whose pocket opens up or
-down is grouped with the piece sitting in its pocket, groups are peeled off
-along one axis, and the members of a multi-piece group exit along the other
-axis. If every such peel jams, a second pass lets a multi-piece group whose
+Both planners run one farthest-first peel over groups of piece ids: at
+each step, of the groups that can leave now, the one whose cells reach
+farthest along the peel direction goes, ties broken by smallest id. A
+singleton can leave once no piece its slide hits is still on the board,
+so the singletons peel by Kahn's algorithm. `plan_uto` peels singletons
+only and reports a witnessing cycle when the peel sticks. `separate_le5`
+handles systems whose pieces have at most five cells: each U-pentomino
+whose pocket opens up or down is grouped with the piece sitting in its
+pocket, and the members of a multi-piece group exit along the other axis.
+If every such peel jams, a second pass lets a multi-piece group whose
 members cannot leave one by one slide out whole in the peel direction; its
 union is row-contiguous, so it moves like one well-behaved shape. Plans are
 never trusted: `simulate_plan` replays them move by move.
@@ -28,7 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .classify import monotone_closure, u_pocket
 from .grid import DIRECTIONS, Cell, Configuration, Direction
@@ -155,43 +159,81 @@ def _find_cycle(blockers: dict[str, set[str]], nodes: set[str]) -> tuple[str, ..
     raise AssertionError("every stuck peel has a cycle to witness it")
 
 
-def plan_uto(config: Configuration, direction: Direction) -> SeparationPlan | NoUto:
-    """Single-direction plan via a topological peel of the blocking graph.
+def _peel(
+    config: Configuration,
+    groups: Iterable[frozenset[str]],
+    direction: Direction,
+    rigid: bool,
+) -> tuple[list[Move], set[str], dict[str, set[str]]]:
+    """The farthest-first peel of `groups`: its moves, the pieces it leaves
+    on the board, and the pieces each singleton's slide hits.
 
-    Among the unblocked pieces the peel removes the one reaching farthest
-    along the move direction first, breaking remaining ties by piece id.
-    When every remaining piece is blocked the result is a `NoUto` carrying
-    one witnessing cycle.
-
-    The peel is Kahn's algorithm: each piece counts its blockers still on
-    the board, and a heap keyed by (-extreme, id) holds exactly the pieces
-    whose count is zero, which is the ready set of the step.
+    Every group is keyed (-extreme of its cells, smallest id). Each
+    singleton counts the pieces its slide hits that are still on the board,
+    and a heap holds those whose count is 0. A multi-piece group is tried at
+    a step only while its key is below the heap top: through
+    `_member_exit_moves`, or with `rigid` by sliding out whole. Pieces
+    never move before they leave, so every key is fixed up front.
     """
-    ids = config.piece_ids()
-    blockers = {pid: config.blockers((pid,), direction) for pid in ids}
-    blocks: dict[str, list[str]] = {pid: [] for pid in ids}
-    for blocked, found in blockers.items():
+    cells = config.cell_map()
+    on_board = set(cells)
+    entry: dict[str, tuple[int, str, frozenset[str]]] = {}
+    pending = []
+    for group in groups:
+        if len(group) == 1:
+            (pid,) = group
+            entry[pid] = (-_extreme(cells[pid], direction), pid, group)
+        else:
+            union = (cell for pid in group for cell in cells[pid])
+            pending.append((-_extreme(union, direction), min(group), group))
+    pending.sort()
+    hits = {pid: config.blockers((pid,), direction) for pid in entry}
+    blocks: dict[str, list[str]] = {pid: [] for pid in cells}
+    for blocked, found in hits.items():
         for blocker in found:
             blocks[blocker].append(blocked)
-    cells = config.cell_map()
-    key = {pid: (-_extreme(cells[pid], direction), pid) for pid in ids}
-    waiting = {pid: len(blockers[pid]) for pid in ids}
-    ready = [key[pid] for pid in ids if not waiting[pid]]
+    waiting = {pid: len(found) for pid, found in hits.items()}
+    ready = [entry[pid] for pid in entry if not waiting[pid]]
     heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        _, pid = heapq.heappop(ready)
-        order.append(pid)
-        for blocked in blocks[pid]:
-            waiting[blocked] -= 1
-            if not waiting[blocked]:
-                heapq.heappush(ready, key[blocked])
-    if len(order) < len(ids):
-        remaining = set(ids).difference(order)
-        return NoUto(direction, _find_cycle(blockers, remaining))
-    return SeparationPlan(
-        tuple(Move(frozenset({pid}), direction) for pid in order)
-    )
+    moves: list[Move] = []
+    while True:
+        exit_moves = None
+        for position, ahead in enumerate(pending):
+            if ready and ready[0] < ahead:
+                break
+            group = ahead[2]
+            exit_moves = _member_exit_moves(config, on_board, group)
+            if exit_moves is None and rigid:
+                if not config.blockers(group, direction) & on_board:
+                    exit_moves = [Move(group, direction)]
+            if exit_moves is not None:
+                del pending[position]
+                break
+        if exit_moves is None:
+            if not ready:
+                return moves, on_board, hits
+            group = heapq.heappop(ready)[2]
+            exit_moves = [Move(group, direction)]
+        moves += exit_moves
+        on_board -= group
+        for gone in group:
+            for blocked in blocks[gone]:
+                waiting[blocked] -= 1
+                if not waiting[blocked]:
+                    heapq.heappush(ready, entry[blocked])
+
+
+def plan_uto(config: Configuration, direction: Direction) -> SeparationPlan | NoUto:
+    """Single-direction plan: the peel of every piece on its own.
+
+    When the peel sticks the result is a `NoUto` carrying one witnessing
+    cycle among the pieces left, read from the peel's own hit sets.
+    """
+    singletons = (frozenset({pid}) for pid in config.piece_ids())
+    moves, left, hits = _peel(config, singletons, direction, rigid=False)
+    if left:
+        return NoUto(direction, _find_cycle(hits, left))
+    return SeparationPlan(tuple(moves))
 
 
 def simulate_plan(config: Configuration, plan: SeparationPlan) -> SimulationReport:
@@ -343,81 +385,23 @@ def _member_exit_moves(
     return None
 
 
-def _group_exit(
-    config: Configuration,
-    on_board: set[str],
-    group: frozenset[str],
-    direction: Direction,
-    rigid: bool,
-) -> list[Move] | None:
-    """The moves that take `group` off the board now, or None if it is stuck.
-
-    With `rigid`, a multi-piece group whose members cannot leave one by one
-    may still slide out whole in `direction`.
-    """
-    if len(group) == 1:
-        return None if config.blockers(group, direction) & on_board else [Move(group, direction)]
-    moves = _member_exit_moves(config, on_board, group)
-    if moves is None and rigid and not config.blockers(group, direction) & on_board:
-        return [Move(group, direction)]
-    return moves
-
-
-def _peel_groups(
-    config: Configuration,
-    groups: Sequence[frozenset[str]],
-    direction: Direction,
-    rigid: bool,
-) -> SeparationPlan | None:
-    """Greedy peel: at each step remove the farthest-along group that can go.
-
-    Singleton groups leave in the peel direction; multi-piece groups spend
-    their turn exiting members along the internal axis instead, or with
-    `rigid` leave whole in the peel direction when that is blocked. A group
-    that cannot go yet is retried after others have left. Pieces never move
-    before they leave, so the farthest-along order is fixed up front.
-    """
-    cells = config.cell_map()
-    on_board = set(cells)
-    pending = sorted(
-        groups,
-        key=lambda g: (
-            -_extreme((cell for pid in g for cell in cells[pid]), direction),
-            min(g),
-        ),
-    )
-    moves: list[Move] = []
-    while pending:
-        for position, group in enumerate(pending):
-            exit_moves = _group_exit(config, on_board, group, direction, rigid)
-            if exit_moves is not None:
-                break
-        else:
-            return None
-        moves.extend(exit_moves)
-        on_board -= group
-        del pending[position]
-    return SeparationPlan(tuple(moves))
-
-
 def separate_le5(config: Configuration) -> SeparationPlan:
     """Full separation plan for a system of pieces with at most five cells.
 
-    Groups are peeled along +x first, falling back to the other axis
-    directions if a peel jams. If all four jam, the four directions run
-    once more, now letting a multi-piece group whose member exits are all
-    blocked leave as one rigid move in the peel direction. Each returned
-    plan has passed simulation. Exhausting both passes means a guarantee
-    this planner is built on has failed, so that raises instead of
-    returning.
+    The groups are peeled along each axis direction in turn, +x first,
+    with member exits only and then with rigid exits too; the first peel
+    that empties the board and passes simulation is the plan. Exhausting
+    both passes means a guarantee this planner is built on has failed, so
+    that raises instead of returning.
     """
     groups = group_le5(config)
     if not groups:
         return SeparationPlan(())
     for rigid in (False, True):
         for direction in DIRECTIONS:
-            plan = _peel_groups(config, groups, direction, rigid)
-            if plan is not None and simulate_plan(config, plan).valid:
+            moves, left, _ = _peel(config, groups, direction, rigid)
+            plan = SeparationPlan(tuple(moves))
+            if not left and simulate_plan(config, plan).valid:
                 return plan
     raise InvariantViolationError(
         "no one-shot separation plan found for a system of pieces "

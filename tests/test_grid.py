@@ -218,7 +218,7 @@ def test_enumerate_free_shapes_match_oracle_classes():
 
 
 def test_enumerate_free_rejects_out_of_range():
-    for bad in (0, -1, 11, 2.5):
+    for bad in (0, -1, 11, 2.5, True, False):
         with pytest.raises(ValueError):
             enumerate_free(bad)
 

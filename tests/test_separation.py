@@ -47,6 +47,7 @@ from polylock.instances import (
     mutual_u_pair,
     staircase_trio,
     u_filler_example,
+    z_chain,
 )
 
 POS_X, NEG_X, POS_Y, NEG_Y = (
@@ -681,7 +682,7 @@ def _pairwise_blocked(board, pid, direction):
     )
 
 
-def _pairwise_group_exit(board, group, direction):
+def _pairwise_group_exit(board, group, direction, rigid):
     if len(group) == 1:
         (pid,) = group
         if _pairwise_blocked(board, pid, direction):
@@ -699,10 +700,18 @@ def _pairwise_group_exit(board, group, direction):
                 scratch = _without(scratch, [pid])
             else:
                 return moves
+    if rigid:
+        union = frozenset(cell for pid in group for cell in board.cells_of(pid))
+        if not any(
+            sweep_collides(union, board.cells_of(other), direction)
+            for other in board.piece_ids()
+            if other not in group
+        ):
+            return [Move(group, direction)]
     return None
 
 
-def _pairwise_peel_groups(config, groups, direction):
+def _pairwise_peel_groups(config, groups, direction, rigid):
     board = config
     pending = list(groups)
     moves = []
@@ -717,7 +726,7 @@ def _pairwise_peel_groups(config, groups, direction):
             )
         )
         for group in pending:
-            exit_moves = _pairwise_group_exit(board, group, direction)
+            exit_moves = _pairwise_group_exit(board, group, direction, rigid)
             if exit_moves is not None:
                 break
         else:
@@ -728,15 +737,17 @@ def _pairwise_peel_groups(config, groups, direction):
     return SeparationPlan(tuple(moves))
 
 
-def _pairwise_separate_le5(config):
-    """The member-exit-only planner; None where all four of its peels jam."""
+def _pairwise_separate_le5(config, passes=(False, True)):
+    """The group peel in all four directions, for each rigid flag of
+    `passes` in turn; None where every peel jams."""
     groups = group_le5(config)
     if not groups:
         return SeparationPlan(())
-    for direction in DIRECTIONS:
-        plan = _pairwise_peel_groups(config, groups, direction)
-        if plan is not None and _pairwise_simulate_plan(config, plan).valid:
-            return plan
+    for rigid in passes:
+        for direction in DIRECTIONS:
+            plan = _pairwise_peel_groups(config, groups, direction, rigid)
+            if plan is not None and _pairwise_simulate_plan(config, plan).valid:
+                return plan
     return None
 
 
@@ -910,14 +921,61 @@ def test_separate_le5_lets_a_jammed_group_leave_whole(name):
     config = _packing_from_rows(JAMMED_PACKINGS[name])
     assert len(config) == 90
     # every member-exit peel jams here
-    assert _pairwise_separate_le5(config) is None
+    assert _pairwise_separate_le5(config, passes=(False,)) is None
     plan = separate_le5(config)
+    assert plan == _pairwise_separate_le5(config)
     assert simulate_plan(config, plan).valid
     assert _covered(plan) == frozenset(config.piece_ids())
     rigid = [move for move in plan.moves if len(move.piece_ids) > 1]
     assert rigid
     groups = set(group_le5(config))
     assert all(move.piece_ids in groups for move in rigid)
+
+
+# ---------------------------------------------------------------- peel cost
+
+
+def _count_blockers(monkeypatch):
+    """Count every `Configuration.blockers` call from now on."""
+    calls = []
+    query = Configuration.blockers
+
+    def counted(self, piece_ids, direction):
+        calls.append(direction)
+        return query(self, piece_ids, direction)
+
+    monkeypatch.setattr(Configuration, "blockers", counted)
+    return calls
+
+
+def test_separate_le5_queries_each_piece_once_per_peel_and_replay(monkeypatch):
+    # L-pentomino k holds monomino k in the crook of its top row, so along
+    # +x each L waits for its monomino; a peel that rescans the waiting
+    # pieces after each removal makes quadratically many queries here
+    pairs = 1000
+    cells = {}
+    for k in range(pairs):
+        cells[f"L{k:04d}"] = [(x, 2 * k) for x in range(4)] + [(0, 2 * k + 1)]
+        cells[f"M{k:04d}"] = [(1, 2 * k + 1)]
+    config = Configuration.from_cell_map(cells)
+    calls = _count_blockers(monkeypatch)
+    plan = separate_le5(config)
+    assert _move_order(plan) == tuple(
+        f"{name}{k:04d}" for k in range(pairs) for name in ("M", "L")
+    )
+    assert {move.direction for move in plan.moves} == {POS_X}
+    assert len(calls) == 2 * len(config)
+
+
+def test_plan_uto_cycle_witness_reuses_the_peel_hits(monkeypatch):
+    length = 50
+    cells = z_chain(length).cell_map()
+    for pid, piece in clasped_c_pair().cell_map().items():
+        cells["ZZ" + pid] = [(x + 2 * length + 3, y) for x, y in piece]
+    config = Configuration.from_cell_map(cells)
+    calls = _count_blockers(monkeypatch)
+    assert plan_uto(config, POS_X) == NoUto(POS_X, ("ZZA", "ZZB"))
+    assert len(calls) == len(config) == length + 2
 
 
 # ---------------------------------------------------------------- one index per axis
