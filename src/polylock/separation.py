@@ -168,10 +168,13 @@ def _peel(
     """The farthest-first peel of `groups`: its moves, the pieces it leaves
     on the board, and the pieces each singleton's slide hits.
 
-    Every group is keyed (-extreme of its cells, smallest id). Each
-    singleton counts the pieces its slide hits that are still on the board,
-    and a heap holds those whose count is 0. A multi-piece group is tried at
-    a step only while its key is below the heap top: through
+    Every group is keyed (-extreme of its cells, smallest id), and both the
+    heap of singletons and the sorted list of multi-piece groups hold
+    (-extreme, smallest id, group) triples; no two groups share a smallest
+    id, so comparing entries never reaches the groups. Each singleton counts
+    the pieces its slide hits that are still on the board, and enters the
+    heap when that count is 0. A multi-piece group is tried at a step only
+    while its key is below the heap top: through
     `_member_exit_moves`, or with `rigid` by sliding out whole. Pieces
     never move before they leave, so every key is fixed up front.
     """
