@@ -25,8 +25,8 @@ def rotate(cells, window):
 def candidate_blades(window):
     for shape in enumerate_free(6):
         for oriented in fixed_orientations(shape):
-            width = oriented.max_x + 1
-            height = oriented.max_y + 1
+            width = max(x for x, _ in oriented.cells) + 1
+            height = max(y for _, y in oriented.cells) + 1
             for dx in range(window - width + 1):
                 for dy in range(window - height + 1):
                     yield frozenset(

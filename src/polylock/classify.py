@@ -9,9 +9,11 @@ Conventions used throughout:
 
 A pocket is a connected region of cells that the fill rule for one axis
 adds to the shape, together with the one open side it keeps toward the
-outside. The U-pentomino is the only pentomino that has one. Monotonicity
-and pockets both read the one fill rule, `_fill_cells`; `pockets` asks
-`grid.Lanes` which side of a component no shape cell blocks.
+outside. The U-pentomino is the only pentomino that has one. The one gap
+rule, `_gapped_lanes`, reads each lane's (lowest, highest, count) span:
+monotonicity asks whether any lane fails it, `_fill_cells` fills the lanes
+that fail, and `pockets` asks `grid.Lanes` which side of a fill component
+no shape cell blocks.
 
 `u_pocket` is the one U detector. It looks a placed piece up in a table,
 built once at import, of the U's four normalised orientations, each with
@@ -53,36 +55,42 @@ class Pocket:
 
 
 def is_monotone(shape: Polyomino, axis: str) -> bool:
-    """Monotone in `axis`: every slice perpendicular to it is one interval.
-
-    axis 'y' checks rows, axis 'x' checks columns. A slice is one interval
-    exactly when the fill rule finds no gap in it.
-    """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return not _fill_cells(shape.cells, axis)
+    """Monotone in `axis`: every row (axis 'y') or column ('x') is one interval."""
+    return not _gapped_lanes(shape.cells, axis)
 
 
 def classify(shape: Polyomino) -> MonotoneReport:
-    x_mono = is_monotone(shape, "x")
-    y_mono = is_monotone(shape, "y")
-    return MonotoneReport(
-        x_monotone=x_mono,
-        y_monotone=y_mono,
-        orthogonally_convex=x_mono and y_mono,
-    )
+    x_mono = not _gapped_lanes(shape.cells, "x")
+    y_mono = not _gapped_lanes(shape.cells, "y")
+    return MonotoneReport(x_mono, y_mono, x_mono and y_mono)
+
+
+def _gapped_lanes(cells: frozenset[Cell], axis: str) -> list[tuple[int, int, int]]:
+    """(lane, lowest, highest) of each row (axis 'y') or column (axis 'x')
+    whose distinct cells are not one interval: highest - lowest >= count."""
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    spans: dict[int, list[int]] = {}  # lane -> [lowest, highest, count]
+    for x, y in cells:
+        lane, at = (y, x) if axis == "y" else (x, y)
+        span = spans.get(lane)
+        if span is None:
+            spans[lane] = [at, at, 1]
+            continue
+        if at < span[0]:
+            span[0] = at
+        elif at > span[1]:
+            span[1] = at
+        span[2] += 1
+    return [(lane, low, high) for lane, (low, high, n) in spans.items() if high - low >= n]
 
 
 def _fill_cells(cells: frozenset[Cell], axis: str) -> set[Cell]:
     """Cells the contiguity fill adds: row gaps for axis 'y', column gaps for 'x'."""
     added: set[Cell] = set()
-    lanes: dict[int, list[int]] = {}
-    for x, y in cells:
-        key, val = (y, x) if axis == "y" else (x, y)
-        lanes.setdefault(key, []).append(val)
-    for key, vals in lanes.items():
-        for v in range(min(vals) + 1, max(vals)):
-            cell = (v, key) if axis == "y" else (key, v)
+    for lane, low, high in _gapped_lanes(cells, axis):
+        for v in range(low + 1, high):
+            cell = (v, lane) if axis == "y" else (lane, v)
             if cell not in cells:
                 added.add(cell)
     return added
@@ -94,9 +102,8 @@ def pockets(shape: Polyomino, axis: str) -> list[Pocket]:
     Empty exactly when the shape is monotone in that axis. A component open
     on neither side means the shape encloses a hole, which is an error.
     """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    added = _fill_cells(shape.cells, axis)
+    added = _fill_cells(shape.cells, axis)  # rejects a bad axis
+    pos, neg = Direction.parse("+" + axis), Direction.parse("-" + axis)
     out: list[Pocket] = []
     while added:
         seed = added.pop()
@@ -108,11 +115,6 @@ def pockets(shape: Polyomino, axis: str) -> list[Pocket]:
                     added.remove(nb)
                     component.add(nb)
                     stack.append(nb)
-        pos, neg = (
-            (Direction.POS_Y, Direction.NEG_Y)
-            if axis == "y"
-            else (Direction.POS_X, Direction.NEG_X)
-        )
         # exact: fill cells are never shape cells
         lanes = Lanes({"shape": shape.cells, "pocket": component}, axis)
         pos_open = not lanes.blockers(("pocket",), 1)

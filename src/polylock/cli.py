@@ -217,8 +217,8 @@ def _cmd_enumerate(args) -> int:
         shapes = [shape for shape in shapes if keep(classify(shape))]
     print(len(shapes))
     for shape in shapes:
-        print()
-        print(emit_grid(Configuration.from_cell_map({"A": shape.cells})), end="")
+        owners = dict.fromkeys(shape.cells, "A")  # an enumerated shape is valid
+        print("\n" + emit_grid(Configuration._from_world({"A": shape.cells}, owners)), end="")
     return 0
 
 

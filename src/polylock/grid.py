@@ -8,9 +8,9 @@ checking the integer stations along the way.
 
 `Polyomino(...)` checks every cell; the shapes derived from a valid one
 (`canonical_free_form`, `fixed_orientations`, `enumerate_free`) are built
-unchecked by `_trusted`. Symmetry images are
-compared as integer keys (`_image_keys`), whose largest value is the
-canonical free form, and enumeration dedups on them.
+unchecked by `_trusted`. Symmetry images are compared as integer keys
+(`_image_keys`), sums of per-cell bits whose largest is the canonical free
+form; enumeration sums each shape's bits once per box it grows into.
 
 A `Configuration` is its pieces' world cells keyed by id, plus the owner
 of every occupied cell; pieces are never stored as a shape and an offset.
@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from typing import Collection, Hashable, Iterable, Iterator, Mapping
 
 Cell = tuple[int, int]
@@ -145,14 +145,6 @@ class Polyomino:
     def __iter__(self) -> Iterator[Cell]:
         return iter(self.cells)
 
-    @property
-    def max_x(self) -> int:
-        return max(x for x, _ in self.cells)
-
-    @property
-    def max_y(self) -> int:
-        return max(y for _, y in self.cells)
-
     def sorted_cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(self.cells))
 
@@ -213,10 +205,13 @@ def _image_keys(cells: Collection[Cell]) -> tuple[int, list[int]]:
 
 
 def _decode(key: int, s: int) -> frozenset[Cell]:
-    """The cells of an image key with stride s."""
-    bits = f"{key:b}"  # bit s*s - v, for v = a*s + b, is character v - base
-    base = s * s + 1 - len(bits)
-    return frozenset(divmod(base + one.start(), s) for one in re.finditer("1", bits))
+    """The cells of an image key with stride s: bit s*s - (a*s + b) is (a, b)."""
+    cells = []
+    while key:
+        top = key.bit_length() - 1
+        cells.append(divmod(s * s - top, s))
+        key ^= 1 << top
+    return frozenset(cells)
 
 
 def canonical_free_form(shape: Polyomino) -> Polyomino:
@@ -244,14 +239,12 @@ def enumerate_free(n: int) -> list[Polyomino]:
     """All free polyominoes with n cells, in canonical free form, ordered by
     sorted cell tuple (descending key order).
 
-    Grows each (n-1)-cell representative by every neighbouring cell and dedups
-    on the integer canonical key. Capped at 10 cells to keep runtime sane.
+    Grows each (n-1)-cell representative by every border cell (Redelmeier,
+    Discrete Math. 36, 1981). Per box the grown shapes span, at most five,
+    the representative's 8 image keys are summed once from `_box_table`; a
+    candidate's canonical key is the largest of them plus its cell's entry.
     """
-    if (
-        not isinstance(n, int)
-        or isinstance(n, bool)
-        or not 1 <= n <= MAX_ENUMERATION_CELLS
-    ):
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_ENUMERATION_CELLS:
         raise ValueError(
             f"cell count must be an integer in 1..{MAX_ENUMERATION_CELLS}, got {n!r}"
         )
@@ -261,8 +254,17 @@ def enumerate_free(n: int) -> list[Polyomino]:
         grown = set()
         for key in level:
             rep = _decode(key, s)
-            for nb in {nb for cell in rep for nb in neighbors(cell)} - rep:
-                grown.add(max(_image_keys([*rep, nb])[1]))
+            w, h = max(x for x, _ in rep), max(y for _, y in rep)
+            boxes: dict[tuple[int, int, int, int], list[Cell]] = {}  # by grown box
+            for x, y in {nb for cell in rep for nb in neighbors(cell)} - rep:
+                box = (x if x < 0 else 0, y if y < 0 else 0,
+                       x if x > w else w, y if y > h else h)
+                boxes.setdefault(box, []).append((x, y))
+            for (x0, y0, x1, y1), cells in boxes.items():
+                table = _box_table(x1 - x0, y1 - y0)
+                base = list(map(sum, zip(*[table[x - x0, y - y0] for x, y in rep])))
+                for x, y in cells:
+                    grown.add(max(map(add, base, table[x - x0, y - y0])))
         level = grown
     return [_trusted(_decode(key, s)) for key in sorted(level, reverse=True)]
 

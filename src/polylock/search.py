@@ -25,24 +25,18 @@ deduplicated up to two quotients, both read from anchors:
 
 The arena test reads the anchors: a piece lies inside the arena rectangle
 exactly when its bounding box does, that is when its anchor lies in a
-rectangle computed once per piece. A child that did not drift differs from
-its parent, which lies in the arena, only in its moved pieces: only they
-are tested, and its key is the parent's with their codes replaced. Moves
-name pieces by index; a trace names them by id along its own path only,
-and replays legally. Moves and escapes are tested on
-Python-int bitboards, one mask per piece per state, laid out over the
-union of the pieces' boxes in that state (see `_Engine`); piece p is bit
-p of every piece set. The one move parameter is the cap, the largest rigid
-set allowed to move: 1 in single-piece mode, `DEFAULT_SUBSET_CAP` in
-subset-move mode. A unit move is legal when the moving mask's step meets
-no other piece's bit, and a set escapes when the Kogge-Stone ray fill of
-its mask (`_ray_fill`) meets no other piece's bit. Above a cap of one,
-only the sets that can move or escape are built: a set can step (or
-escape) along d exactly when it holds every piece its members' steps (or
-ray fills) meet, so it is a union of per-piece closures, grown over the
-contact graph by `_closed_sets`. The masks span the union of the state's
-boxes, which the arena bounds, so the arena's area is capped at
-`MAX_ARENA_CELLS`. `slide_dependency` reads `Configuration.owner`.
+rectangle computed once per piece. A child drifts only when a moved anchor
+lands below the smallest one or a moved piece held it. A child that did
+not drift differs from its parent, which lies in the arena, only in its
+moved pieces: only they are tested, and its key is the parent's with their
+codes replaced. Moves name pieces by index; a trace names them by id along
+its own path only, and replays legally.
+
+Moves and escapes are tested on per-state Python-int bitboards (see
+`_Engine`). The one move parameter is the cap, the largest rigid set
+allowed to move: 1 in single-piece mode, `DEFAULT_SUBSET_CAP` in
+subset-move mode. The bitboards lie inside the arena, whose area is
+capped at `MAX_ARENA_CELLS`. `slide_dependency` reads `Configuration.owner`.
 """
 
 from __future__ import annotations
@@ -434,14 +428,6 @@ class _Engine:
         self._shapes: dict[int, tuple[int, ...]] = {}
         self._geometry: dict[tuple[int, int], tuple] = {}
 
-    def normalize(self, state: tuple[Cell, ...]) -> tuple[Cell, ...]:
-        mx, my = min(state)
-        dx = self.initial_min[0] - mx
-        dy = self.initial_min[1] - my
-        if dx == 0 and dy == 0:
-            return state
-        return tuple((x + dx, y + dy) for x, y in state)
-
     def in_arena(self, state: tuple[Cell, ...]) -> bool:
         for (x, y), (x0, y0, x1, y1) in zip(state, self.anchor_bounds):
             if not (x0 <= x <= x1 and y0 <= y <= y1):
@@ -454,11 +440,21 @@ class _Engine:
         return tuple(sorted(codes))
 
     def child(self, key, parent, combo, moved) -> tuple[tuple[Cell, ...], tuple | None]:
-        """(normalized child, key) of the state `parent`, keyed `key`, after
-        the pieces of `combo` moved to `moved`; the key is None off the arena."""
-        normalized = self.normalize(moved)
-        # `normalize` hands back `moved` itself unless the child drifted
-        if normalized is not moved:
+        """(normalized child, key) of the normalized state `parent`, keyed
+        `key`, after the pieces of `combo` moved to `moved`; the key is None
+        off the arena. The child drifts only when a moved anchor lands below
+        `initial_min`, the parent's smallest, or a moved piece held it."""
+        initial = low = self.initial_min
+        held = False
+        for i in combo:
+            if moved[i] < low:
+                low = moved[i]
+            held = held or parent[i] == initial
+        if held and low == initial:
+            low = min(moved)
+        if low != initial:
+            dx, dy = initial[0] - low[0], initial[1] - low[1]
+            normalized = tuple((x + dx, y + dy) for x, y in moved)
             inside = self.in_arena(normalized)
             return normalized, self.state_key(normalized) if inside else None
         codes = list(key)

@@ -52,6 +52,22 @@ def _oracle_cols_contiguous(cells):
     return _oracle_rows_contiguous({(y, x) for x, y in cells})
 
 
+def _scan_fill_cells(cells, axis):
+    """The reference fill: every lane scanned from its lowest to its highest
+    cell, with no span test first."""
+    added = set()
+    lanes = {}
+    for x, y in cells:
+        key, val = (y, x) if axis == "y" else (x, y)
+        lanes.setdefault(key, []).append(val)
+    for key, vals in lanes.items():
+        for v in range(min(vals) + 1, max(vals)):
+            cell = (v, key) if axis == "y" else (key, v)
+            if cell not in cells:
+                added.add(cell)
+    return added
+
+
 # --------------------------------------------------------------------------
 # is_monotone / classify
 # --------------------------------------------------------------------------
@@ -112,13 +128,26 @@ def test_nonconvex_hexomino_count():
     assert {s.cells for s in nonconvex} == {s.cells for s in oracle}
 
 
-@settings(max_examples=150)
-@given(polyominoes())
-def test_classify_agrees_with_lane_oracle(s):
+def _assert_classify_matches_lane_oracle(s):
     report = classify(s)
     assert report.y_monotone == _oracle_rows_contiguous(s.cells)
     assert report.x_monotone == _oracle_cols_contiguous(s.cells)
     assert report.orthogonally_convex == (report.x_monotone and report.y_monotone)
+
+
+@settings(max_examples=150)
+@given(polyominoes())
+def test_classify_agrees_with_lane_oracle(s):
+    _assert_classify_matches_lane_oracle(s)
+
+
+def test_classify_and_fill_agree_with_oracles_on_every_fixed_orientation():
+    for n in range(1, 9):
+        for free in enumerate_free(n):
+            for s in fixed_orientations(free):
+                _assert_classify_matches_lane_oracle(s)
+                for axis in ("x", "y"):
+                    assert _fill_cells(s.cells, axis) == _scan_fill_cells(s.cells, axis)
 
 
 @settings(max_examples=100)

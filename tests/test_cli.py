@@ -285,18 +285,23 @@ def test_enumerate_over_the_size_cap_fails(capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", [None, *_FILTERS])
-def test_enumerate_prints_what_the_tuple_enumerator_prints(name, capsys):
+@pytest.mark.parametrize(
+    "name, n",
+    # the n = 7 cases keep their ids from before n = 8 was added
+    [pytest.param(name, 7, id=str(name)) for name in (None, *_FILTERS)]
+    + [pytest.param(name, 8, id=f"{name}-8") for name in (None, *_FILTERS)],
+)
+def test_enumerate_prints_what_the_tuple_enumerator_prints(name, n, capsys):
     shapes = [
         cells
-        for cells in _tuple_enumerate_free(7)
+        for cells in _tuple_enumerate_free(n)
         if name is None or _FILTERS[name](classify(Polyomino(frozenset(cells))))
     ]
     expected = f"{len(shapes)}\n" + "".join(
         "\n" + emit_grid(Configuration.from_cell_map({"A": cells}))
         for cells in shapes
     )
-    argv = ["enumerate", "-n", "7"] + (["--filter", name] if name else [])
+    argv = ["enumerate", "-n", str(n)] + (["--filter", name] if name else [])
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
 

@@ -13,6 +13,7 @@ import importlib
 import math
 import pkgutil
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 import polylock
 from polylock.grid import (
     MAX_ENUMERATION_CELLS,
+    _decode,
+    _image_keys,
     Configuration,
     Direction,
     DIRECTIONS,
@@ -106,6 +109,30 @@ def _tuple_enumerate_free(n):
                         grown.add(min(_tuple_symmetry_images(occupied | {nb})))
         current = grown
     return sorted(current)
+
+
+# The per-candidate enumerator that the per-box base sums replaced: every
+# grown candidate is keyed from scratch by `_image_keys`, and keys are read
+# back with the regex decoder that the bit scan replaced.
+
+
+def _regex_decode(key, s):
+    bits = f"{key:b}"  # bit s*s - v, for v = a*s + b, is character v - base
+    base = s * s + 1 - len(bits)
+    return frozenset(divmod(base + one.start(), s) for one in re.finditer("1", bits))
+
+
+def _keyed_enumerate_free(n):
+    s = MAX_ENUMERATION_CELLS
+    level = {max(_image_keys([(0, 0)])[1])}
+    for _ in range(n - 1):
+        grown = set()
+        for key in level:
+            rep = _regex_decode(key, s)
+            for nb in {nb for cell in rep for nb in neighbors(cell)} - rep:
+                grown.add(max(_image_keys([*rep, nb])[1]))
+        level = grown
+    return [_regex_decode(key, s) for key in sorted(level, reverse=True)]
 
 
 # known fixed counts, to make sure the oracle itself is sane
@@ -235,6 +262,19 @@ def test_enumerate_free_matches_the_tuple_enumerator():
         assert ours == _tuple_enumerate_free(n), n
 
 
+@pytest.mark.parametrize("n", range(1, MAX_ENUMERATION_CELLS + 1))
+def test_enumerate_free_matches_the_keyed_enumerator(n):
+    assert [shape.cells for shape in enumerate_free(n)] == _keyed_enumerate_free(n)
+
+
+def test_decode_matches_the_regex_decoder_on_free_shapes():
+    for n in range(1, 9):
+        for shape in enumerate_free(n):
+            s, keys = _image_keys(shape.cells)
+            for key in keys:
+                assert _decode(key, s) == _regex_decode(key, s)
+
+
 def test_enumerate_free_is_ordered_by_sorted_cells():
     shapes = [shape.sorted_cells() for shape in enumerate_free(8)]
     assert shapes == sorted(shapes)
@@ -267,6 +307,17 @@ def test_canonical_forms_match_the_tuple_images(shape):
     images = _tuple_symmetry_images(shape.cells)
     assert canonical_free_form(shape).sorted_cells() == min(images)
     assert [s.sorted_cells() for s in fixed_orientations(shape)] == sorted(set(images))
+
+
+@settings(max_examples=300)
+@given(placed_polyominoes())
+def test_decode_matches_the_regex_decoder_on_placed_shapes(shape):
+    # many draws span boxes wider than the enumeration range (s > 10)
+    s, keys = _image_keys(shape.cells)
+    orientations = [oriented.cells for oriented in fixed_orientations(shape)]
+    assert orientations == [_regex_decode(key, s) for key in sorted(set(keys), reverse=True)]
+    for key in keys:
+        assert _decode(key, s) == _regex_decode(key, s)
 
 
 @pytest.mark.parametrize("length", [1, 9, 10, 11, 17])

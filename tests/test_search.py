@@ -60,6 +60,13 @@ def _cap(mode, cap=DEFAULT_SUBSET_CAP):
     return cap if mode == SUBSET_MOVE else 1
 
 
+def _normalize(engine, state):
+    """`state` shifted so that its smallest anchor is the start's: the full
+    O(pieces) drift that `_Engine.child` reads from the moved pieces."""
+    (mx, my), (x0, y0) = min(state), engine.initial_min
+    return tuple((x + x0 - mx, y + y0 - my) for x, y in state)
+
+
 def _named_moves(engine, state, cap):
     """`unit_moves` with each moving index tuple mapped to its piece ids."""
     return [
@@ -664,7 +671,7 @@ def _states_near_start(engine, mode, steps, limit=25):
         following = []
         for state in layer:
             for _, _, moved in engine.unit_moves(state, _cap(mode)):
-                moved = engine.normalize(moved)
+                moved = _normalize(engine, moved)
                 if moved not in seen and len(seen) < limit:
                     seen.append(moved)
                     following.append(moved)
@@ -827,7 +834,7 @@ def _bfs_states(engine, mode, cap):
     states = [engine.start]
     for state in states:
         for _, _, moved in engine.unit_moves(state, _cap(mode, cap)):
-            moved = engine.normalize(moved)
+            moved = _normalize(engine, moved)
             key = engine.state_key(moved)
             if engine.in_arena(moved) and key not in seen:
                 seen.add(key)
@@ -1007,7 +1014,7 @@ def _check_children(engine, mode, limit=300):
     for key in queue:
         parent = states[key]
         for combo, _, moved in engine.unit_moves(parent, _cap(mode)):
-            normalized = engine.normalize(moved)
+            normalized = _normalize(engine, moved)
             child, child_key = engine.child(key, parent, combo, moved)
             assert child == normalized
             assert (child_key is not None) == engine.in_arena(normalized)
@@ -1077,6 +1084,27 @@ class TestStateKey:
         # A's step +x drifts the board back, B's step -x does not drift
         assert engine.child(key, start, (0,), ((1, 0), (2, 0))) == (inward, inward_key)
         assert engine.child(key, start, (1,), inward) == (inward, inward_key)
+
+    def test_child_drifts_when_the_smallest_anchor_moves_up(self):
+        # A holds the smallest anchor and steps +y; B lies further along x,
+        # so A keeps the smallest anchor and the board drifts down by one
+        engine = _Engine(_config(A=[(0, 0)], B=[(1, 0)]), radius=1)
+        start = engine.start
+        key = engine.state_key(start)
+        drifted = ((0, 0), (1, -1))
+        assert engine.child(key, start, (0,), ((0, 1), (1, 0))) == (
+            drifted,
+            engine.state_key(drifted),
+        )
+        # A steps +x past B's column: B now holds the smallest anchor
+        engine = _Engine(_config(A=[(0, 0)], B=[(0, 1)]), radius=1)
+        start = engine.start
+        key = engine.state_key(start)
+        swapped = ((1, -1), (0, 0))
+        assert engine.child(key, start, (0,), ((1, 0), (0, 1))) == (
+            swapped,
+            engine.state_key(swapped),
+        )
 
 
 class TestStateCounts:
