@@ -54,11 +54,6 @@ class Pocket:
     opening: Direction
 
 
-def is_monotone(shape: Polyomino, axis: str) -> bool:
-    """Monotone in `axis`: every row (axis 'y') or column ('x') is one interval."""
-    return not _gapped_lanes(shape.cells, axis)
-
-
 def classify(shape: Polyomino) -> MonotoneReport:
     x_mono = not _gapped_lanes(shape.cells, "x")
     y_mono = not _gapped_lanes(shape.cells, "y")
@@ -174,7 +169,6 @@ __all__ = [
     "Pocket",
     "U_PENTOMINO",
     "classify",
-    "is_monotone",
     "monotone_closure",
     "pockets",
     "u_pocket",

@@ -18,8 +18,8 @@ of every occupied cell; pieces are never stored as a shape and an offset.
 `Lanes` is the slide kernel: it answers whom a rigid set hits when slid
 to infinity. `Configuration.blockers` asks it on the whole board, and is
 the one slide query of `separation`; `classify.pockets` asks it on a
-shape and one fill component. (`search` tests its slides on per-state
-bitboards instead.) `Configuration.owner` is the one cell -> piece
+shape and one fill component. (`search` tests its slides on bitboards
+in its arena's frame instead.) `Configuration.owner` is the one cell -> piece
 lookup. `sweep_collides` is the pairwise reference oracle the tests
 check `Lanes` against; no other module calls it.
 """

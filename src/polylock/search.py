@@ -32,11 +32,12 @@ moved pieces: only they are tested, and its key is the parent's with their
 codes replaced. Moves name pieces by index; a trace names them by id along
 its own path only, and replays legally.
 
-Moves and escapes are tested on per-state Python-int bitboards (see
-`_Engine`). The one move parameter is the cap, the largest rigid set
-allowed to move: 1 in single-piece mode, `DEFAULT_SUBSET_CAP` in
-subset-move mode. The bitboards lie inside the arena, whose area is
-capped at `MAX_ARENA_CELLS`. `slide_dependency` reads `Configuration.owner`.
+Moves and escapes are tested on Python-int bitboards laid out once per
+search in the arena's frame (see `_Engine`), so only states inside the
+arena are laid out; the arena's area is capped at `MAX_ARENA_CELLS`. The
+one move parameter is the cap, the largest rigid set allowed to move: 1 in
+single-piece mode, `DEFAULT_SUBSET_CAP` in subset-move mode.
+`slide_dependency` reads `Configuration.owner`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ DEFAULT_SUBSET_CAP = 4
 
 #: Largest arena, in cells, that a search may cover: the configuration's
 #: bounding box grown by the radius on every side. Every state's bitboards
-#: lie inside the arena, so their size, and the cost of each move test,
+#: span the whole arena, so their size, and the cost of each move test,
 #: grows with it.
 MAX_ARENA_CELLS = 1_000_000
 
@@ -327,25 +328,28 @@ class _Engine:
 
     A state is only the tuple of the pieces' anchor cells, in sorted id
     order, and `start` is the input's. The engine keeps each piece's form
-    (its cells relative to its anchor), the extent of its box around the
-    anchor, the rectangle its anchor may take inside the arena, and its
-    code base: its code at anchor (x, y) is base + y * arena width + x.
-    So drift, arena and state key read the anchors alone, `unit_moves`
-    names moving pieces by index, and `child` tests and keys a child that
-    did not drift in O(moved pieces).
+    (its cells relative to its anchor), the rectangle its anchor may take
+    inside the arena, its code base (its code at anchor (x, y) is base +
+    y * arena width + x), and its bitboard shape and offset. So drift,
+    arena and state key read the anchors alone, `unit_moves` names moving
+    pieces by index, and `child` tests and keys a child that did not drift
+    in O(moved pieces).
 
-    Moves and escapes are tested on Python-int bitboards laid out per state
-    by `_layout`. The layout is the union of the pieces' bounding boxes in
-    the state, row-major, with one empty pad column after every row: cell
-    (x, y) is bit (y - bottom) * stride + (x - left), and the stride is the
-    box width plus the pad. A step along x is a shift by 1 and a step along
-    y a shift by the stride. The pad is the one-cell margin on both x sides
-    of a row, so a step off either end of a row lands in a pad column,
-    never on another row's cell; a step off the bottom or the top leaves
-    the box, where no piece has a bit. Because the layout follows the
-    state, not the arena, states outside the arena are read exactly too.
-    Each piece's mask is OR-ed once per stride from precomputed per-row bit
-    strips and shifted to the piece's box corner in each state.
+    Moves and escapes are tested on Python-int bitboards in the arena's
+    frame, fixed once per engine: the arena row-major, with one empty pad
+    column after every row, so cell (x, y) is bit (y - y0) * stride +
+    (x - x0) for the arena's corner (x0, y0), and the stride is the arena
+    width plus the pad. A step along x is a shift by 1 and a step along y a
+    shift by the stride. The pad is the one-cell margin on both x sides of
+    a row, so a step off either end of a row lands in a pad column, never
+    on another row's cell; a step off the bottom or the top leaves the
+    arena, where no piece has a bit. Each piece's shape is its mask with
+    its anchor in the arena's first column and its lowest cell in the
+    bottom row, built once; `_layout` shifts it by the anchor and the
+    piece's offset. A piece outside the arena would wrap across rows or
+    shift by a negative count, so `unit_moves` and `escape_at` take states
+    inside the arena only. Those are all the BFS lays out: the start and
+    the children that `child` keyed.
 
     Piece p is mask p, and bit p of every piece set. `cap` is the largest
     rigid set allowed to move; the set-size limit below derives from it,
@@ -354,9 +358,9 @@ class _Engine:
     * A unit move of the moving mask m is legal when the step of m meets
       no bit of occupied ^ m. Sets are limited to min(cap, pieces).
     * A set escapes along a direction when the ray fill of its mask across
-      the box (`_ray_fill`) meets no other piece's bit: a cell ahead in a
+      the arena (`_ray_fill`) meets no other piece's bit: a cell ahead in a
       lane of a moving cell blocks the slide, and no cell lies outside the
-      box. On a board of two pieces or more the set may not be all of
+      arena. On a board of two pieces or more the set may not be all of
       them, so escapes are limited to min(cap, max(pieces - 1, 1)).
     * Every query refuses overlapping masks, which the BFS never makes: a
       piece under a member would count as a blocker of its set.
@@ -389,9 +393,9 @@ class _Engine:
         )
         # the box of a piece anchored at (x, y) is x, y + low, x + right,
         # y + high
-        self.lows = tuple(min(y for _, y in form) for form in self.forms)
-        self.rights = tuple(form[-1][0] for form in self.forms)
-        self.highs = tuple(max(y for _, y in form) for form in self.forms)
+        lows = [min(y for _, y in form) for form in self.forms]
+        rights = [form[-1][0] for form in self.forms]
+        highs = [max(y for _, y in form) for form in self.forms]
 
         # congruent non-key pieces share a shape class; the key gets its own
         shapes: dict[tuple[Cell, ...] | None, int] = {}
@@ -413,20 +417,21 @@ class _Engine:
         # a piece lies in the arena exactly when its anchor lies in its rectangle
         self.anchor_bounds = tuple(
             (x0, y0 - low, x1 - right, y1 - high)
-            for low, right, high in zip(self.lows, self.rights, self.highs)
+            for low, right, high in zip(lows, rights, highs)
         )
         self.initial_min = min(self.start)
         self.arena_width = width
         self.bases = tuple(c * width * height - y0 * width - x0 for c in self.classes)
 
-        # each piece's cells as (row above its box corner, bit strip) pairs
-        strips: list[dict[int, int]] = [{} for _ in self.ids]
-        for rows, form, low in zip(strips, self.forms, self.lows):
-            for x, y in form:
-                rows[y - low] = rows.get(y - low, 0) | 1 << x
-        self.strips = tuple(tuple(rows.items()) for rows in strips)
-        self._shapes: dict[int, tuple[int, ...]] = {}
-        self._geometry: dict[tuple[int, int], tuple] = {}
+        # the arena's bitboard frame: piece i anchored at (x, y) is
+        # shapes[i] << y * stride + x + offsets[i]
+        self.geometry = _box_geometry(width, height)
+        stride = self.geometry[0]
+        self.shapes = tuple(
+            sum(1 << (y - low) * stride + x for x, y in form)
+            for form, low in zip(self.forms, lows)
+        )
+        self.offsets = tuple((low - y0) * stride - x0 for low in lows)
 
     def in_arena(self, state: tuple[Cell, ...]) -> bool:
         for (x, y), (x0, y0, x1, y1) in zip(state, self.anchor_bounds):
@@ -470,36 +475,13 @@ class _Engine:
         codes.sort()
         return moved, tuple(codes)
 
-    def _layout(self, state: tuple[Cell, ...]) -> tuple[list[int], tuple]:
-        """Each piece's mask in this state's box, and the box's geometry.
-
-        The geometry is (stride, x rounds, y shifts) for `_ray_fill`,
-        cached per box size, and the pieces' masks at their box corners are
-        cached per stride.
-        """
-        # the smallest anchor has the smallest x of all
-        left = min(state)[0]
-        ys = [y + low for (_, y), low in zip(state, self.lows)]
-        bottom = min(ys)
-        size = (
-            max([x + right for (x, _), right in zip(state, self.rights)]) - left + 1,
-            max([y + high for (_, y), high in zip(state, self.highs)]) - bottom + 1,
-        )
-        geometry = self._geometry.get(size)
-        if geometry is None:
-            geometry = self._geometry[size] = _box_geometry(*size)
-        stride = geometry[0]
-        shapes = self._shapes.get(stride)
-        if shapes is None:
-            shapes = self._shapes[stride] = tuple(
-                sum(strip << row * stride for row, strip in rows)
-                for rows in self.strips
-            )
-        masks = [
-            shape << (y - bottom) * stride + x - left
-            for shape, (x, _), y in zip(shapes, state, ys)
+    def _layout(self, state: tuple[Cell, ...]) -> list[int]:
+        """Each piece's mask in the arena's frame; `state` lies in the arena."""
+        stride = self.geometry[0]
+        return [
+            shape << y * stride + x + offset
+            for shape, offset, (x, y) in zip(self.shapes, self.offsets, state)
         ]
-        return masks, geometry
 
     def _occupied(self, masks: list[int]) -> int:
         """The union of the masks, which may not overlap."""
@@ -513,7 +495,8 @@ class _Engine:
     def unit_moves(
         self, state: tuple[Cell, ...], cap: int
     ) -> Iterator[tuple[tuple[int, ...], Direction, tuple[Cell, ...]]]:
-        masks, (stride, _, _) = self._layout(state)
+        masks = self._layout(state)
+        stride = self.geometry[0]
         occupied = self._occupied(masks)
         count = len(masks)
         limit = min(cap, count)
@@ -543,7 +526,8 @@ class _Engine:
         self, state: tuple[Cell, ...], cap: int
     ) -> tuple[frozenset[str], Direction] | None:
         """First piece set whose slide to infinity clears everything else."""
-        masks, geometry = self._layout(state)
+        masks = self._layout(state)
+        geometry = self.geometry
         occupied = self._occupied(masks)
         count = len(masks)
         # a proper set: the whole system drifting away is no escape, unless

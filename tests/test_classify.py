@@ -12,7 +12,6 @@ from polylock.classify import (
     U_PENTOMINO,
     _fill_cells,
     classify,
-    is_monotone,
     monotone_closure,
     pockets,
     u_pocket,
@@ -34,6 +33,13 @@ U_CELLS = frozenset({(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)})
 
 def shape(*cells):
     return Polyomino(frozenset(cells))
+
+
+def _monotone(s, axis):
+    """Is `s` monotone in `axis`: is every row (axis 'y') or column ('x')
+    one interval?"""
+    report = classify(s)
+    return report.x_monotone if axis == "x" else report.y_monotone
 
 
 # --------------------------------------------------------------------------
@@ -69,7 +75,7 @@ def _scan_fill_cells(cells, axis):
 
 
 # --------------------------------------------------------------------------
-# is_monotone / classify
+# classify
 # --------------------------------------------------------------------------
 
 
@@ -81,16 +87,18 @@ def test_rectangle_is_orthogonally_convex():
 
 def test_u_is_x_monotone_only():
     u = shape(*U_CELLS)
-    assert is_monotone(u, "x")
-    assert not is_monotone(u, "y")
-    assert not classify(u).orthogonally_convex
+    report = classify(u)
+    assert report.x_monotone
+    assert not report.y_monotone
+    assert not report.orthogonally_convex
 
 
 def test_rotated_u_swaps_axes():
     # pocket opens +x after rotating the +y-opening U a quarter turn
     u_sideways = shape((0, 0), (1, 0), (0, 1), (0, 2), (1, 2))
-    assert is_monotone(u_sideways, "y")
-    assert not is_monotone(u_sideways, "x")
+    report = classify(u_sideways)
+    assert report.y_monotone
+    assert not report.x_monotone
 
 
 def test_monomino_is_convex():
@@ -99,7 +107,7 @@ def test_monomino_is_convex():
 
 def test_bad_axis_rejected():
     with pytest.raises(ValueError):
-        is_monotone(shape((0, 0)), "z")
+        monotone_closure(frozenset({(0, 0)}), "z")
     with pytest.raises(ValueError):
         pockets(shape((0, 0)), "diag")
 
@@ -154,8 +162,8 @@ def test_classify_and_fill_agree_with_oracles_on_every_fixed_orientation():
 @given(polyominoes())
 def test_quarter_turn_swaps_monotone_axes(s):
     rotated = Polyomino(frozenset((-y, x) for x, y in s.cells))
-    assert is_monotone(s, "y") == is_monotone(rotated, "x")
-    assert is_monotone(s, "x") == is_monotone(rotated, "y")
+    assert classify(s).y_monotone == classify(rotated).x_monotone
+    assert classify(s).x_monotone == classify(rotated).y_monotone
 
 
 # --------------------------------------------------------------------------
@@ -238,9 +246,9 @@ def test_pockets_empty_iff_monotone(s, axis):
     try:
         found = pockets(s, axis)
     except EnclosedHoleError:
-        assert not is_monotone(s, axis)
+        assert not _monotone(s, axis)
         return
-    assert (found == []) == is_monotone(s, axis)
+    assert (found == []) == _monotone(s, axis)
 
 
 @settings(max_examples=150)
@@ -255,7 +263,7 @@ def test_filling_pockets_restores_monotonicity(s, axis):
         assert not (p.cells & s.cells)
         filled |= p.cells
     assert frozenset(filled) == monotone_closure(s.cells, axis)
-    assert is_monotone(Polyomino(frozenset(filled)), axis)
+    assert _monotone(Polyomino(frozenset(filled)), axis)
 
 
 def _pairwise_pockets(s, axis):

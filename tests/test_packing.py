@@ -5,7 +5,7 @@ import random
 import pytest
 
 from polylock import Configuration
-from polylock.classify import is_monotone
+from polylock.classify import classify
 from polylock.grid import Polyomino
 from polylock.packing import PackingSpec, _shape_pools, random_packing
 
@@ -60,7 +60,7 @@ def _resorting_packing(seed, spec, shape_filter=None):
         (DENSE, None),
         (PackingSpec(width=9, height=7, max_pieces=40, target_density=1.0), None),
         (PackingSpec(width=12, height=12, max_cells=7, max_pieces=30), None),
-        (DENSE, lambda shape: is_monotone(shape, "y")),
+        (DENSE, lambda shape: classify(shape).y_monotone),
     ],
     ids=["dense", "full", "heptominoes", "row-contiguous"],
 )
@@ -89,10 +89,10 @@ def test_dense_packing_meets_budget_and_density(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_shape_filter_applies_to_placed_cells(seed):
     config = random_packing(
-        seed, DENSE, shape_filter=lambda shape: is_monotone(shape, "y")
+        seed, DENSE, shape_filter=lambda shape: classify(shape).y_monotone
     )
     for cells in config.cell_map().values():
-        assert is_monotone(Polyomino(cells), "y")
+        assert classify(Polyomino(cells)).y_monotone
 
 
 def test_small_sparse_spec_places_up_to_piece_budget():

@@ -36,6 +36,7 @@ from polylock.instances import (
     z_chain,
 )
 from polylock.packing import PackingSpec, random_packing
+from polylock import search
 from polylock.search import DEFAULT_SUBSET_CAP, _Engine
 from polylock.separation import separate_le5, simulate_plan
 
@@ -663,8 +664,18 @@ def _pairwise_escape_at(engine, state, mode, cap):
     return None
 
 
+def _roomy_engine(config, steps):
+    """An engine whose arena holds every state within `steps` unit moves of
+    the start. A piece moves at most `steps` cells. Drift moves the board
+    at most `steps` cells along x, and along y at most the board's height
+    plus `steps`, since the smallest anchor may pass to any piece."""
+    _, min_y, _, max_y = config.bounding_box()
+    return _Engine(config, radius=max_y - min_y + 1 + 2 * steps)
+
+
 def _states_near_start(engine, mode, steps, limit=25):
-    """Normalised states within `steps` unit moves of the start, BFS order."""
+    """Normalised states within `steps` unit moves of the start, BFS order;
+    each lies in the engine's arena."""
     seen = [engine.start]
     layer = [engine.start]
     for _ in range(steps):
@@ -672,6 +683,7 @@ def _states_near_start(engine, mode, steps, limit=25):
         for state in layer:
             for _, _, moved in engine.unit_moves(state, _cap(mode)):
                 moved = _normalize(engine, moved)
+                assert engine.in_arena(moved)
                 if moved not in seen and len(seen) < limit:
                     seen.append(moved)
                     following.append(moved)
@@ -679,20 +691,27 @@ def _states_near_start(engine, mode, steps, limit=25):
     return seen
 
 
+#: The largest offset per axis of a drawn anchor, and so the radius of an
+#: arena that holds every drawn state.
+DRAWN_REACH = 4
+
+
 def _drawn_state(engine, data):
-    """The start anchors, each moved by a drawn offset of at most 4 per axis.
+    """The start anchors, each moved by a drawn offset of at most
+    `DRAWN_REACH` per axis.
 
     Its pieces may overlap, as no BFS state's do.
     """
+    reach = st.integers(-DRAWN_REACH, DRAWN_REACH)
     state = []
     for x, y in engine.start:
-        dx, dy = data.draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+        dx, dy = data.draw(st.tuples(reach, reach))
         state.append((x + dx, y + dy))
     return tuple(state)
 
 
 def _escape_pairs(config, mode, steps):
-    engine = _Engine(config, radius=2)
+    engine = _roomy_engine(config, steps)
     return [
         (
             engine.escape_at(state, _cap(mode)),
@@ -738,6 +757,7 @@ class TestEscapeAtOracle:
 
 def _check_against_cell_sets(engine, state, mode, cap):
     """Unit moves and escapes agree with the cell-set oracles."""
+    assert engine.in_arena(state)
     assert _named_moves(engine, state, _cap(mode, cap)) == list(
         _cell_set_unit_moves(engine, state, mode, cap)
     )
@@ -842,12 +862,42 @@ def _bfs_states(engine, mode, cap):
     return states
 
 
+def _named_instances():
+    """The named instances whose states leave a radius-0 arena."""
+    return [case4_group(), keyhole_pair(), mutual_u_pair(), pinwheel(), z_chain(4)]
+
+
+def _edge_states(engine, radius):
+    """States with pieces on the arena's edges: the start shifted by the
+    radius along each axis, and each piece alone moved to each edge of its
+    anchor rectangle, the others left at the start. The latter may overlap."""
+    start = engine.start
+    states = [
+        tuple((x + dx, y + dy) for x, y in start)
+        for dx, dy in ((-radius, 0), (radius, 0), (0, -radius), (0, radius))
+    ]
+    for i, ((x, y), (x0, y0, x1, y1)) in enumerate(zip(start, engine.anchor_bounds)):
+        for anchor in ((x0, y), (x1, y), (x, y0), (x, y1)):
+            states.append(start[:i] + (anchor,) + start[i + 1:])
+    return states
+
+
+def _arena_edges(engine, state):
+    """The arena edges that some piece of the state lies on."""
+    edges = set()
+    for (x, y), (x0, y0, x1, y1) in zip(state, engine.anchor_bounds):
+        sides = {"left": x == x0, "right": x == x1, "bottom": y == y0, "top": y == y1}
+        edges.update(edge for edge, on in sides.items() if on)
+    return edges
+
+
 class TestBitboardOracle:
     """The bitboard engine against the cell-set code it replaced.
 
-    The engines are built at radius 0, so most states a step or two from
-    the start lie outside the arena; the per-state layout must read them
-    exactly all the same.
+    The engine lays out states inside its arena only, so each engine is
+    built at a radius whose arena holds every state it is given. States
+    with pieces on the arena's edges would show a wrong stride in the pad
+    column, and a wrong offset in the bottom and top rows.
     """
 
     @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
@@ -864,7 +914,7 @@ class TestBitboardOracle:
         )
         config = random_packing(seed, spec)
         assume(len(config) > 0)
-        engine = _Engine(config, radius=0)
+        engine = _roomy_engine(config, steps=2)
         for state in _states_near_start(engine, mode, steps=2):
             _check_against_cell_sets(engine, state, mode, cap)
 
@@ -879,8 +929,9 @@ class TestBitboardOracle:
         spec = PackingSpec(width=5, height=5, max_pieces=6, max_cells=4)
         config = random_packing(seed, spec)
         assume(len(config) > 0)
-        engine = _Engine(config, radius=0)
+        engine = _Engine(config, radius=DRAWN_REACH)
         state = _drawn_state(engine, data)
+        assert engine.in_arena(state)
         cap = data.draw(st.integers(1, 4))
         if _overlap(engine, state):
             with pytest.raises(ValueError, match="overlap"):
@@ -902,8 +953,9 @@ class TestBitboardOracle:
         spec = PackingSpec(width=5, height=5, max_pieces=6, max_cells=4)
         config = random_packing(seed, spec)
         assume(len(config) > 0)
-        engine = _Engine(config, radius=0)
+        engine = _Engine(config, radius=DRAWN_REACH)
         state = _drawn_state(engine, data)
+        assert engine.in_arena(state)
         cap = data.draw(st.integers(1, 4))
         if _overlap(engine, state):
             with pytest.raises(ValueError, match="overlap"):
@@ -923,6 +975,7 @@ class TestBitboardOracle:
             (x - 2, y + 1) if pid == "X" else (x, y)
             for pid, (x, y) in zip(engine.ids, engine.start)
         )
+        assert engine.in_arena(state)
         expected = (frozenset({"A", "B"}), POS_X)
         assert _pairwise_escape_at(engine, state, SUBSET_MOVE, 2) == expected
         with pytest.raises(ValueError, match="overlap"):
@@ -936,7 +989,7 @@ class TestBitboardOracle:
     @pytest.mark.parametrize("cap", [1, 2, DEFAULT_SUBSET_CAP])
     def test_tray_with_key_matches(self, cap):
         # the frame touches every tile, so the contact graph is dense
-        engine = _Engine(tray_with_key(), radius=0)
+        engine = _roomy_engine(tray_with_key(), steps=2)
         states = _states_near_start(engine, SUBSET_MOVE, steps=2)
         assert len(states) > 1
         sizes = set()
@@ -976,7 +1029,7 @@ class TestBitboardOracle:
             moving = set().union(*(cells[pid] for pid in pair))
             assert not is_connected(moving)
             assert not sweep_collides(moving, occupied - moving, POS_X)
-        engine = _Engine(config, radius=0)
+        engine = _roomy_engine(config, steps=1)
         for state in _states_near_start(engine, SUBSET_MOVE, steps=1):
             for cap in range(1, 5):
                 _check_against_cell_sets(engine, state, SUBSET_MOVE, cap)
@@ -987,16 +1040,50 @@ class TestBitboardOracle:
         )
 
     @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
-    def test_named_instances_match_outside_the_arena(self, mode):
-        outside = 0
-        for config in (
-            case4_group(), keyhole_pair(), mutual_u_pair(), pinwheel(), z_chain(4)
-        ):
-            engine = _Engine(config, radius=0)
-            for state in _states_near_start(engine, mode, steps=3):
-                outside += not engine.in_arena(state)
+    def test_pieces_on_the_arena_edges_match(self, mode):
+        radius = 1
+        edges = set()
+        for config in _named_instances() + [_framed_tray(3, (3, 3)), _doored_tray()]:
+            engine = _Engine(config, radius)
+            for state in _edge_states(engine, radius):
+                if _overlap(engine, state):
+                    with pytest.raises(ValueError, match="overlap"):
+                        list(engine.unit_moves(state, _cap(mode)))
+                    continue
                 _check_against_cell_sets(engine, state, mode, DEFAULT_SUBSET_CAP)
-        assert outside > 0
+                edges.update(_arena_edges(engine, state))
+        assert edges == {"left", "right", "bottom", "top"}
+
+    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
+    def test_search_lays_out_only_states_in_the_arena(self, mode, monkeypatch):
+        laid_out = clipped = 0
+
+        class Watched(_Engine):
+            def unit_moves(self, state, cap):
+                nonlocal laid_out
+                assert self.in_arena(state)
+                laid_out += 1
+                return super().unit_moves(state, cap)
+
+            def child(self, key, parent, combo, moved):
+                nonlocal clipped
+                found = super().child(key, parent, combo, moved)
+                clipped += found[1] is None
+                return found
+
+        def goal(engine, state, cap):
+            # lays the state out, but never stops the search
+            assert engine.in_arena(state)
+            engine.escape_at(state, cap)
+
+        monkeypatch.setattr(search, "_Engine", Watched)
+        boards = _named_instances() + [tray for tray, _ in _tray_corpus()]
+        for config in boards:
+            for radius in (0, 1):
+                budget = SearchBudget(radius, max_states=500, mode=mode)
+                search._explore(config, budget, goal)
+        # children off the arena were made, and were never laid out
+        assert laid_out > 0 and clipped > 0
 
 
 def _oracle_key(engine, state):
@@ -1143,6 +1230,28 @@ class TestStateCounts:
         verdict = escape_search(tray_with_key(), budget)
         assert verdict.outcome == "locked-within-budget"
         assert verdict.states_explored == 16
+
+    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
+    def test_loose_trio_in_the_largest_arena(self, mode):
+        # a 4x4 board at radius 498 spans 1000 x 1000 cells, the most
+        # MAX_ARENA_CELLS allows, so every mask is laid out a half million
+        # bits up and a ray fill runs a thousand cells
+        config = _config(A=[(0, 0), (1, 0)], B=[(3, 1), (3, 2)], C=[(1, 3)])
+        budget = SearchBudget(radius=498, max_states=200, mode=mode)
+        verdict = escape_search(config, budget)
+        assert verdict.outcome == "escaped"
+        assert verdict.states_explored == 1
+        assert (verdict.piece_ids, verdict.direction) == (frozenset("A"), POS_X)
+        # A's steps down and to the left drift C up and to the right
+        answer = key_piece_reachable(config, "C", (1, 1), budget)
+        assert answer.outcome == "reachable"
+        assert answer.states_explored == 25
+        assert answer.trace == ((frozenset("A"), NEG_X), (frozenset("A"), NEG_Y))
+        answer = key_piece_reachable(config, "C", (40, 0), budget)
+        assert answer.outcome == "budget-exhausted"
+        assert answer.states_explored == 200
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            escape_search(config, SearchBudget(radius=499))
 
 
 class TestPlannerAgreement:

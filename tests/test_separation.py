@@ -27,8 +27,8 @@ from polylock import (
     PlanError,
     SeparationPlan,
     blocking_graph,
+    classify,
     group_le5,
-    is_monotone,
     plan_uto,
     separate_le5,
     simulate_plan,
@@ -289,7 +289,7 @@ def test_row_contiguous_systems_peel_horizontally(seed):
         seed,
         max_pieces=5,
         max_cells=5,
-        shape_filter=lambda shape: is_monotone(shape, "y"),
+        shape_filter=lambda shape: classify(shape).y_monotone,
     )
     for direction in (POS_X, NEG_X):
         plan = plan_uto(config, direction)
@@ -304,7 +304,7 @@ def test_column_contiguous_systems_peel_vertically(seed):
         seed,
         max_pieces=5,
         max_cells=5,
-        shape_filter=lambda shape: is_monotone(shape, "x"),
+        shape_filter=lambda shape: classify(shape).x_monotone,
     )
     for direction in (POS_Y, NEG_Y):
         plan = plan_uto(config, direction)
@@ -319,8 +319,7 @@ def test_fully_convex_systems_peel_in_all_four_directions(seed):
         seed,
         max_pieces=5,
         max_cells=5,
-        shape_filter=lambda shape: is_monotone(shape, "x")
-        and is_monotone(shape, "y"),
+        shape_filter=lambda shape: classify(shape).orthogonally_convex,
     )
     for direction in DIRECTIONS:
         plan = plan_uto(config, direction)
@@ -335,7 +334,7 @@ def _row_contiguous_union(config, piece_ids):
     union = Polyomino(
         frozenset(cell for pid in piece_ids for cell in config.cells_of(pid))
     )
-    return is_monotone(union, "y")
+    return classify(union).y_monotone
 
 
 def test_group_all_singletons_without_us():
