@@ -232,7 +232,6 @@ def _cmd_lemma(args) -> int:
             rect_width=args.w,
             rect_height=args.h,
             corridor_gap=args.gap,
-            epsilon=args.epsilon,
         )
         report = corridor_pins_horizontally(scene)
         print(f"pinned: {_yn(report.pinned)}")
@@ -377,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     corridor.add_argument("--w", type=_fraction, required=True)
     corridor.add_argument("--h", type=_fraction, required=True)
     corridor.add_argument("--gap", type=_fraction, required=True)
-    corridor.add_argument("--epsilon", type=_fraction, default=Fraction(0))
     chain = lemmas.add_parser("chain")
     chain.add_argument(
         "--rect",

@@ -69,13 +69,11 @@ class CorridorScene:
     rect_width: Number
     rect_height: Number
     corridor_gap: Number
-    epsilon: Number = 0
 
     def __post_init__(self):
         _checked("rect_width", self.rect_width)
         _checked("rect_height", self.rect_height)
         _checked("corridor_gap", self.corridor_gap)
-        _checked("epsilon", self.epsilon, minimum_exclusive=False)
 
 
 @dataclass(frozen=True)

@@ -156,11 +156,6 @@ def parse_document(text: str) -> ParsedDocument:
     return ParsedDocument(parse_grid(text), None)
 
 
-def parse_config(text: str) -> Configuration:
-    """Parse either format and return just the configuration."""
-    return parse_document(text).config
-
-
 def _grid_symbols(config: Configuration) -> dict[str, str]:
     ids = sorted(config.piece_ids())
     usable = all(
@@ -183,14 +178,11 @@ def emit_grid(config: Configuration) -> str:
         return ""
     symbols = _grid_symbols(config)
     min_x, min_y, max_x, max_y = config.bounding_box()
-    rows = []
-    for y in range(max_y, min_y - 1, -1):
-        row = []
-        for x in range(min_x, max_x + 1):
-            pid = config.owner((x, y))
-            row.append(symbols[pid] if pid else ".")
-        rows.append("".join(row))
-    return "\n".join(rows) + "\n"
+    rows = [["."] * (max_x - min_x + 1) for _ in range(max_y - min_y + 1)]
+    for pid, cells in config.cell_map().items():
+        for x, y in cells:
+            rows[max_y - y][x - min_x] = symbols[pid]
+    return "".join("".join(row) + "\n" for row in rows)
 
 
 def emit_structured(config: Configuration, key_piece: str | None = None) -> str:
@@ -219,7 +211,6 @@ __all__ = [
     "detect_format",
     "emit_grid",
     "emit_structured",
-    "parse_config",
     "parse_document",
     "parse_grid",
     "parse_structured",

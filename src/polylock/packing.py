@@ -20,6 +20,9 @@ from .grid import Cell, Configuration, Polyomino, enumerate_free, fixed_orientat
 
 ShapeFilter = Callable[[Polyomino], bool]
 
+#: Random placements tried per shape size before the next smaller size.
+PLACEMENT_ATTEMPTS = 400
+
 
 @dataclass(frozen=True)
 class PackingSpec:
@@ -30,7 +33,6 @@ class PackingSpec:
     max_pieces: int = 25
     max_cells: int = 5
     target_density: float = 0.5
-    placement_attempts: int = 400
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -41,8 +43,6 @@ class PackingSpec:
             raise ValueError("piece size must be between 1 and 10 cells")
         if not 0.0 <= self.target_density <= 1.0:
             raise ValueError("target density must lie in [0, 1]")
-        if self.placement_attempts < 1:
-            raise ValueError("placement attempts must be positive")
 
     @property
     def area(self) -> int:
@@ -95,7 +95,7 @@ def random_packing(
     ):
         placed = None
         for _, variants in pools:
-            for _ in range(spec.placement_attempts):
+            for _ in range(PLACEMENT_ATTEMPTS):
                 variant = variants[rng.randrange(len(variants))]
                 ax, ay = variant[rng.randrange(len(variant))]
                 cx, cy = free_list[rng.randrange(len(free_list))]

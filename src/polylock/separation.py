@@ -130,33 +130,20 @@ def blocking_graph(config: Configuration, direction: Direction) -> BlockingGraph
 
 
 def _find_cycle(blockers: dict[str, set[str]], nodes: set[str]) -> tuple[str, ...]:
-    """Some directed cycle in the blocked-by relation restricted to `nodes`.
+    """Some directed cycle in the blocked-by relation restricted to `nodes`,
+    where every node has a blocker among `nodes`, as a stuck peel leaves.
 
-    Depth-first with an explicit stack, so long blocking chains cannot
-    exhaust the interpreter's recursion limit.
+    From the smallest id, walk to each piece's smallest blocker still in
+    `nodes` until a piece repeats; the cycle is the walk from that piece.
     """
-    done: set[str] = set()
-    for root in sorted(nodes):
-        if root in done:
-            continue
-        path = [root]
-        on_path = {root}
-        pending = [iter(sorted(blockers[root] & nodes))]
-        while pending:
-            for nxt in pending[-1]:
-                if nxt in on_path:
-                    return tuple(path[path.index(nxt):])
-                if nxt not in done:
-                    path.append(nxt)
-                    on_path.add(nxt)
-                    pending.append(iter(sorted(blockers[nxt] & nodes)))
-                    break
-            else:
-                node = path.pop()
-                on_path.remove(node)
-                done.add(node)
-                pending.pop()
-    raise AssertionError("every stuck peel has a cycle to witness it")
+    path: dict[str, int] = {}
+    node = min(nodes)
+    while node not in path:
+        path[node] = len(path)
+        node = min(blockers[node] & nodes, default=None)
+        if node is None:
+            raise AssertionError("every stuck peel has a cycle to witness it")
+    return tuple(path)[path[node]:]
 
 
 def _peel(
@@ -229,8 +216,9 @@ def _peel(
 def plan_uto(config: Configuration, direction: Direction) -> SeparationPlan | NoUto:
     """Single-direction plan: the peel of every piece on its own.
 
-    When the peel sticks the result is a `NoUto` carrying one witnessing
-    cycle among the pieces left, read from the peel's own hit sets.
+    When the peel sticks, every piece left is still waiting on a piece
+    left, so the result is a `NoUto` carrying the cycle that `_find_cycle`
+    closes by one `min` per visited piece over the peel's own hit sets.
     """
     singletons = (frozenset({pid}) for pid in config.piece_ids())
     moves, left, hits = _peel(config, singletons, direction, rigid=False)

@@ -26,7 +26,12 @@ from polylock import (
     separate_le5,
     simulate_plan,
 )
-from polylock.formats import EMIT_ALPHABET, emit_grid, emit_structured, parse_config
+from polylock.formats import (
+    EMIT_ALPHABET,
+    emit_grid,
+    emit_structured,
+    parse_document,
+)
 from polylock.grid import Configuration, fixed_orientations
 from polylock.instances import pinwheel, tray_with_key
 from polylock.packing import PackingSpec, random_packing
@@ -218,7 +223,10 @@ def test_criterion_09_round_trips_and_deterministic_rendering():
             corpus.append(config)
 
     for config in corpus:
-        assert parse_config(emit_structured(config)).cell_map() == config.cell_map()
+        assert (
+            parse_document(emit_structured(config)).config.cell_map()
+            == config.cell_map()
+        )
 
     for config in corpus:
         # grid text carries neither absolute offsets nor multi-letter
@@ -232,7 +240,10 @@ def test_criterion_09_round_trips_and_deterministic_rendering():
                 for index, piece in enumerate(config.piece_ids())
             }
         )
-        assert parse_config(emit_grid(renamed)).cell_map() == renamed.cell_map()
+        assert (
+            parse_document(emit_grid(renamed)).config.cell_map()
+            == renamed.cell_map()
+        )
 
     renderings = {render_svg(config) for config in corpus[:10]}
     again = {render_svg(config) for config in corpus[:10]}

@@ -334,6 +334,12 @@ def test_lemma_corridor_infeasible_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_lemma_corridor_has_no_epsilon(capsys):
+    argv = ["lemma", "corridor", "--w", "2", "--h", "1", "--gap", "1"]
+    assert main([*argv, "--epsilon", "0.1"]) == 1
+    assert "unrecognized arguments: --epsilon 0.1" in capsys.readouterr().err
+
+
 def test_lemma_extent_refuses_a_length_beyond_the_float_range(capsys):
     code = main(["lemma", "extent", "--w", "1e400", "--h", "1", "--beta", "0.1"])
     captured = capsys.readouterr()

@@ -103,13 +103,13 @@ class TestRotatedVerticalExtent:
 class TestCorridorPinsHorizontally:
     def test_snug_fit_is_pinned_with_width_certificate(self):
         report = corridor_pins_horizontally(
-            CorridorScene(rect_width=2, rect_height=1, corridor_gap=1, epsilon=0.1)
+            CorridorScene(rect_width=2, rect_height=1, corridor_gap=1)
         )
         assert report == PinningReport(pinned=True, derivative_at_zero=2.0)
 
     def test_loose_fit_yields_a_fitting_rotation(self):
         report = corridor_pins_horizontally(
-            CorridorScene(rect_width=2, rect_height=1, corridor_gap=1.5, epsilon=0.1)
+            CorridorScene(rect_width=2, rect_height=1, corridor_gap=1.5)
         )
         assert not report.pinned
         beta = report.witness_beta
@@ -225,7 +225,6 @@ class TestCorridorPinsHorizontally:
             {"rect_width": 0, "rect_height": 1, "corridor_gap": 1},
             {"rect_width": 1, "rect_height": -1, "corridor_gap": 1},
             {"rect_width": 1, "rect_height": 1, "corridor_gap": 0},
-            {"rect_width": 1, "rect_height": 1, "corridor_gap": 1, "epsilon": -0.1},
             {"rect_width": math.inf, "rect_height": 1, "corridor_gap": 1},
         ],
     )

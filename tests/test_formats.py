@@ -14,7 +14,6 @@ from polylock.formats import (
     detect_format,
     emit_grid,
     emit_structured,
-    parse_config,
     parse_document,
     parse_grid,
     parse_structured,
@@ -199,7 +198,7 @@ class TestAutoDetect:
             f"{STRUCTURED_HEADER}\npiece A: (0,0) (1,0)\nkey A\n"
         )
         assert structured_doc.key_piece == "A"
-        assert parse_config("AA\n").cell_map() == grid_doc.config.cell_map()
+        assert grid_doc.config.cell_map() == parse_grid("AA\n").cell_map()
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -211,8 +210,8 @@ class TestAutoDetect:
         )
         if len(config) == 0:
             return
-        via_grid = parse_config(emit_grid(config))
-        via_structured = parse_config(emit_structured(config))
+        via_grid = parse_document(emit_grid(config)).config
+        via_structured = parse_document(emit_structured(config)).config
         min_x, min_y, _, _ = via_structured.bounding_box()
         anchored = [
             frozenset((x - min_x, y - min_y) for x, y in cells)

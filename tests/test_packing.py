@@ -7,7 +7,12 @@ import pytest
 from polylock import Configuration
 from polylock.classify import classify
 from polylock.grid import Polyomino
-from polylock.packing import PackingSpec, _shape_pools, random_packing
+from polylock.packing import (
+    PLACEMENT_ATTEMPTS,
+    PackingSpec,
+    _shape_pools,
+    random_packing,
+)
 
 DENSE = PackingSpec()
 
@@ -35,7 +40,7 @@ def _resorting_packing(seed, spec, shape_filter=None):
     ):
         placed = None
         for _, variants in pools:
-            for _ in range(spec.placement_attempts):
+            for _ in range(PLACEMENT_ATTEMPTS):
                 variant = variants[rng.randrange(len(variants))]
                 ax, ay = variant[rng.randrange(len(variant))]
                 cx, cy = free_list[rng.randrange(len(free_list))]
@@ -134,7 +139,6 @@ def test_restrictive_filter_can_exhaust_the_pool():
         {"max_cells": 0},
         {"max_cells": 11},
         {"target_density": 1.5},
-        {"placement_attempts": 0},
     ],
 )
 def test_spec_validation(kwargs):

@@ -239,26 +239,31 @@ def test_find_cycle_survives_a_long_chain_into_a_two_cycle():
 
 
 def test_find_cycle_matches_the_recursive_search():
+    # every node keeps a blocker among `nodes`, as in the pieces a stuck
+    # peel leaves; blockers outside `nodes` are pieces that already left
     outcomes = set()
     for seed in range(300):
         rng = random.Random(seed)
-        names = [f"P{i}" for i in range(rng.randint(1, 8))]
+        names = [f"P{i}" for i in range(rng.randint(2, 8))]
         blockers = {
             pid: {other for other in names if other != pid and rng.random() < 0.3}
             for pid in names
         }
-        nodes = set(rng.sample(names, rng.randint(1, len(names))))
-        try:
-            expected = _recursive_find_cycle(blockers, nodes)
-        except AssertionError:
-            with pytest.raises(AssertionError):
-                _find_cycle(blockers, nodes)
-            outcomes.add("acyclic")
-        else:
-            assert _find_cycle(blockers, nodes) == expected
-            outcomes.add(len(expected))
-    # both branches and cycles of several lengths were exercised
-    assert "acyclic" in outcomes and {2, 3} <= outcomes
+        nodes = set(rng.sample(names, rng.randint(2, len(names))))
+        for pid in sorted(nodes):
+            if not blockers[pid] & nodes:
+                blockers[pid].add(rng.choice(sorted(nodes - {pid})))
+        expected = _recursive_find_cycle(blockers, nodes)
+        assert _find_cycle(blockers, nodes) == expected
+        outcomes.add(len(expected))
+    # cycles of several lengths were exercised
+    assert {2, 3} <= outcomes
+
+
+def test_find_cycle_refuses_a_node_with_no_blocker_left():
+    blockers = {"A": {"B"}, "B": {"C"}, "C": set()}
+    with pytest.raises(AssertionError):
+        _find_cycle(blockers, {"A", "B", "C"})
 
 
 @given(seed=st.integers(0, 2**32 - 1), direction=st.sampled_from(DIRECTIONS))
@@ -632,7 +637,7 @@ def _pairwise_plan_uto(config, direction):
     while remaining:
         ready = [pid for pid in remaining if not (blockers[pid] & remaining)]
         if not ready:
-            return NoUto(direction, _find_cycle(blockers, remaining))
+            return NoUto(direction, _recursive_find_cycle(blockers, remaining))
         ready.sort(key=lambda pid: (-_extreme(cells[pid], direction), pid))
         order.append(ready[0])
         remaining.remove(ready[0])
