@@ -23,18 +23,17 @@ deduplicated up to two quotients, both read from anchors:
   state key is the sorted codes. Keys are built only for states inside the
   arena, so equal keys are equal multisets of (class, anchor) pairs.
 
-The arena test reads the anchors: a piece lies inside the arena rectangle
-exactly when its bounding box does, that is when its anchor lies in a
-rectangle computed once per piece. A child drifts only when a moved anchor
-lands below the smallest one or a moved piece held it. A child that did
-not drift differs from its parent, which lies in the arena, only in its
-moved pieces: only they are tested, and its key is the parent's with their
-codes replaced. Moves name pieces by index; a trace names them by id along
+A piece lies inside the arena exactly when its anchor lies in a rectangle
+computed once per piece. A child drifts only when a moved anchor lands
+below the smallest one or a moved piece held it; one that did not drift
+differs from its parent only in its moved pieces, so only they are tested
+and re-keyed. Moves name pieces by index; a trace names them by id along
 its own path only, and replays legally.
 
-Moves and escapes are tested on Python-int bitboards laid out once per
-search in the arena's frame (see `_Engine`), so only states inside the
-arena are laid out; the arena's area is capped at `MAX_ARENA_CELLS`. The
+Moves and escapes are tested on Python-int bitboards in the arena's frame,
+fixed once per search (see `_Engine`); the arena's area is capped at
+`MAX_ARENA_CELLS`. Single-piece moves come per shape class, from anchor
+bitboards that the BFS carries along its frontier and updates per child. The
 one move parameter is the cap, the largest rigid set allowed to move: 1 in
 single-piece mode, `DEFAULT_SUBSET_CAP` in subset-move mode.
 `slide_dependency` reads `Configuration.owner`.
@@ -326,42 +325,34 @@ def _box_geometry(width: int, height: int) -> tuple:
 class _Engine:
     """Expands unit moves over anchor states for one base configuration.
 
-    A state is only the tuple of the pieces' anchor cells, in sorted id
-    order, and `start` is the input's. The engine keeps each piece's form
-    (its cells relative to its anchor), the rectangle its anchor may take
-    inside the arena, its code base (its code at anchor (x, y) is base +
-    y * arena width + x), and its bitboard shape and offset. So drift,
-    arena and state key read the anchors alone, `unit_moves` names moving
-    pieces by index, and `child` tests and keys a child that did not drift
-    in O(moved pieces).
+    A state is the tuple of the pieces' anchor cells in sorted id order;
+    `start` is the input's. Per piece the engine keeps its form, its anchor
+    rectangle in the arena, its code base (its code at anchor (x, y) is
+    base + y * arena width + x), and its bitboard shape and offset.
 
-    Moves and escapes are tested on Python-int bitboards in the arena's
-    frame, fixed once per engine: the arena row-major, with one empty pad
-    column after every row, so cell (x, y) is bit (y - y0) * stride +
-    (x - x0) for the arena's corner (x0, y0), and the stride is the arena
-    width plus the pad. A step along x is a shift by 1 and a step along y a
-    shift by the stride. The pad is the one-cell margin on both x sides of
-    a row, so a step off either end of a row lands in a pad column, never
-    on another row's cell; a step off the bottom or the top leaves the
-    arena, where no piece has a bit. Each piece's shape is its mask with
-    its anchor in the arena's first column and its lowest cell in the
-    bottom row, built once; `_layout` shifts it by the anchor and the
-    piece's offset. A piece outside the arena would wrap across rows or
-    shift by a negative count, so `unit_moves` and `escape_at` take states
-    inside the arena only. Those are all the BFS lays out: the start and
-    the children that `child` keyed.
+    Bitboards are Python ints in the arena's frame, fixed once per engine:
+    cell (x, y) is bit (y - y0) * stride + (x - x0) for the arena's corner
+    (x0, y0), and the stride adds one empty pad column, so a step along x
+    (a shift by 1) off a row's end lands in the pad, and one along y (by the
+    stride) off the bottom or top leaves the arena. Piece i anchored at
+    (x, y) is shapes[i] << y * stride + x + offsets[i], so every query takes
+    states inside the arena: the start and the children `child` keyed.
 
-    Piece p is mask p, and bit p of every piece set. `cap` is the largest
-    rigid set allowed to move; the set-size limit below derives from it,
-    and a limit of one tests each piece alone.
+    A state's boards are an anchor board per shape class of two pieces or
+    more, its members' anchor bits, then the occupied cells. The BFS carries
+    them along its frontier, not in its state table, and `carry` updates
+    them per child. Piece p is bit p of every piece set, and sets are
+    limited to min(`cap`, pieces), the largest rigid set allowed to move.
 
-    * A unit move of the moving mask m is legal when the step of m meets
-      no bit of occupied ^ m. Sets are limited to min(cap, pieces).
+    * One piece moves along d when its mask stepped along d meets no other
+      bit. A class of one is tested so. The movers of a larger class are
+      its anchor board less occupied shifted by -g for every front cell g,
+      a cell of the form stepped along d outside the form; each mover's
+      anchor names its piece.
     * A set escapes along a direction when the ray fill of its mask across
-      the arena (`_ray_fill`) meets no other piece's bit: a cell ahead in a
-      lane of a moving cell blocks the slide, and no cell lies outside the
-      arena. On a board of two pieces or more the set may not be all of
-      them, so escapes are limited to min(cap, max(pieces - 1, 1)).
+      the arena (`_ray_fill`) meets no other piece's bit. On a board of two
+      pieces or more the set may not be all of them, so escapes are limited
+      to min(cap, max(pieces - 1, 1)).
     * Every query refuses overlapping masks, which the BFS never makes: a
       piece under a member would count as a blocker of its set.
     * Above a limit of one, `_closed_sets` builds the sets. A set of at
@@ -373,10 +364,9 @@ class _Engine:
       is; a ray closure need not be, so escapes keep the connected unions
       only. A state where no ray closure is within the limit has no
       escape, and its contact graph is never built.
-    * Sets come by (size, index tuple), the order the BFS has always used,
-      and directions as in `DIRECTIONS`, so state counts and traces do
-      not depend on the limit's path: a limit of one yields what the
-      closures would.
+    * Sets come by (size, index tuple) and directions as in `DIRECTIONS`,
+      so state counts and traces do not depend on the limit's path or on
+      the classes: a limit of one yields what the closures would.
     """
 
     def __init__(self, config: Configuration, radius: int, key_piece: str | None = None):
@@ -423,8 +413,6 @@ class _Engine:
         self.arena_width = width
         self.bases = tuple(c * width * height - y0 * width - x0 for c in self.classes)
 
-        # the arena's bitboard frame: piece i anchored at (x, y) is
-        # shapes[i] << y * stride + x + offsets[i]
         self.geometry = _box_geometry(width, height)
         stride = self.geometry[0]
         self.shapes = tuple(
@@ -432,6 +420,20 @@ class _Engine:
             for form, low in zip(self.forms, lows)
         )
         self.offsets = tuple((low - y0) * stride - x0 for low in lows)
+
+        # a larger class moves by its anchor board and per-direction front shifts
+        members: dict[int, list[int]] = {}
+        for i, c in enumerate(self.classes):
+            members.setdefault(c, []).append(i)
+        self.loners = tuple(m[0] for m in members.values() if len(m) == 1)
+        crowds = [m for m in members.values() if len(m) > 1]
+        self.board_of = {i: b for b, m in enumerate(crowds) for i in m}
+        self.fronts = []
+        for m in crowds:
+            form = set(self.forms[m[0]])
+            steps = [{(x + d.dx, y + d.dy) for x, y in form} - form for d in DIRECTIONS]
+            self.fronts.append([[y * stride + x for x, y in front] for front in steps])
+        self.corner, self.origin = (x0, y0), y0 * stride + x0
 
     def in_arena(self, state: tuple[Cell, ...]) -> bool:
         for (x, y), (x0, y0, x1, y1) in zip(state, self.anchor_bounds):
@@ -459,7 +461,7 @@ class _Engine:
             low = min(moved)
         if low != initial:
             dx, dy = initial[0] - low[0], initial[1] - low[1]
-            normalized = tuple((x + dx, y + dy) for x, y in moved)
+            normalized = tuple([(x + dx, y + dy) for x, y in moved])
             inside = self.in_arena(normalized)
             return normalized, self.state_key(normalized) if inside else None
         codes = list(key)
@@ -470,8 +472,7 @@ class _Engine:
             if not (x0 <= x <= x1 and y0 <= y <= y1):
                 return moved, None
             px, py = parent[i]
-            codes.remove(bases[i] + py * width + px)
-            codes.append(bases[i] + y * width + x)
+            codes[codes.index(bases[i] + py * width + px)] = bases[i] + y * width + x
         codes.sort()
         return moved, tuple(codes)
 
@@ -492,35 +493,74 @@ class _Engine:
             raise ValueError("the search needs pieces that do not overlap")
         return occupied
 
-    def unit_moves(
-        self, state: tuple[Cell, ...], cap: int
-    ) -> Iterator[tuple[tuple[int, ...], Direction, tuple[Cell, ...]]]:
-        masks = self._layout(state)
+    def boards(self, state: tuple[Cell, ...]) -> list[int]:
+        """The boards of a state in the arena, built from its masks."""
+        boards = [0] * len(self.fronts) + [self._occupied(self._layout(state))]
+        for i, b in self.board_of.items():
+            x, y = state[i]
+            boards[b] |= 1 << y * self.geometry[0] + x - self.origin
+        return boards
+
+    def carry(self, boards, parent, moved, child, combo) -> list[int]:
+        """The boards of `child`, normalized from `moved`: `parent`, with
+        boards `boards`, after `combo` moved. The moved bits leave, a drift
+        shifts the rest (exact, as `child` lies in the arena), and they return."""
         stride = self.geometry[0]
-        occupied = self._occupied(masks)
-        count = len(masks)
-        limit = min(cap, count)
+        (mx, my), (cx, cy) = moved[combo[0]], child[combo[0]]
+        drift = (cy - my) * stride + cx - mx
+        boards = boards.copy()
+        for state in (parent, child):
+            if state is child and drift:
+                boards = [b << drift if drift > 0 else b >> -drift for b in boards]
+            for i in combo:
+                x, y = state[i]
+                boards[-1] ^= self.shapes[i] << y * stride + x + self.offsets[i]
+                if i in self.board_of:
+                    boards[self.board_of[i]] ^= 1 << y * stride + x - self.origin
+        return boards
+
+    def unit_moves(
+        self, state: tuple[Cell, ...], cap: int, boards: list[int] | None = None
+    ) -> Iterator[tuple[tuple[int, ...], Direction, tuple[Cell, ...]]]:
+        """(combo, direction, moved) per legal unit move of a state in the
+        arena, by (size, combo, direction); its `boards` are built if not given."""
+        boards = boards or self.boards(state)
+        occupied, stride = boards[-1], self.geometry[0]
+        limit = min(cap, len(state))
         if limit > 1:
+            masks = self._layout(state)
             touching, hits = _contacts(masks, stride)
-            closures = [_closures(relation, count, limit) for relation in hits]
+            closures = [_closures(relation, len(state), limit) for relation in hits]
             for combo, directions in _closed_sets(closures, touching, limit):
                 for direction in directions:
                     yield combo, direction, _shifted(state, combo, direction)
             return
-        for i, moving in enumerate(masks):
+        shapes, offsets = self.shapes, self.offsets
+        found = []
+        for i in self.loners:
+            x, y = state[i]
+            moving = shapes[i] << y * stride + x + offsets[i]
             others = occupied ^ moving
-            hits = (
-                (moving << 1) & others,
-                (moving >> 1) & others,
-                (moving << stride) & others,
-                (moving >> stride) & others,
-            )
-            if all(hits):
-                continue
-            combo = (i,)
-            for direction, hit in zip(DIRECTIONS, hits):
-                if not hit:
-                    yield combo, direction, _shifted(state, combo, direction)
+            code = i << 2
+            for step in (moving << 1, moving >> 1, moving << stride, moving >> stride):
+                if not step & others:
+                    found.append(code)
+                code += 1
+        x0, y0 = self.corner
+        for board, fronts in zip(boards, self.fronts):
+            for k, shifts in enumerate(fronts):
+                blocked = 0
+                for shift in shifts:
+                    blocked |= occupied >> shift if shift > 0 else occupied << -shift
+                movers = board & ~blocked
+                while movers:
+                    low = movers & -movers
+                    movers ^= low
+                    y, x = divmod(low.bit_length() - 1, stride)
+                    found.append(state.index((x + x0, y + y0)) << 2 | k)
+        for code in sorted(found):
+            combo, direction = (code >> 2,), DIRECTIONS[code & 3]
+            yield combo, direction, _shifted(state, combo, direction)
 
     def escape_at(
         self, state: tuple[Cell, ...], cap: int
@@ -584,11 +624,11 @@ def _explore(
     if payload is not None:
         return "hit", payload, 1, ()
 
-    frontier = deque([start_key])
+    frontier = deque([(start_key, engine.boards(start))])
     while frontier:
-        current = frontier.popleft()
+        current, boards = frontier.popleft()
         parent = states[current][0]
-        for combo, direction, moved in engine.unit_moves(parent, cap):
+        for combo, direction, moved in engine.unit_moves(parent, cap, boards):
             child, state_key = engine.child(current, parent, combo, moved)
             if state_key is None or state_key in states:
                 continue
@@ -599,7 +639,7 @@ def _explore(
             if payload is not None:
                 trace = _rebuild_trace(states, state_key, engine.ids)
                 return "hit", payload, len(states), trace
-            frontier.append(state_key)
+            frontier.append((state_key, engine.carry(boards, parent, moved, child, combo)))
     return "exhausted", None, len(states), None
 
 

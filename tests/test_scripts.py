@@ -1,5 +1,6 @@
 """The scripts under scripts/ still run against the current package API."""
 
+import json
 import os
 import subprocess
 import sys
@@ -55,3 +56,32 @@ def test_find_pinwheel_counts_every_locked_candidate():
     assert result.returncode == 0, result.stderr
     assert result.stderr == "candidates searched: 7548, locked found: 40\n"
     assert result.stdout.count("locked candidate in") == 40
+
+
+def test_search_layers_writes_a_bench_record(tmp_path):
+    out = tmp_path / "bench.json"
+    for pair in (0, 1):
+        result = _run(
+            "scripts/search_layers.py", "--quick", "--out", str(out), "--pair", str(pair)
+        )
+        assert result.returncode == 0, result.stderr
+    records = json.loads(out.read_text(encoding="utf-8"))
+    assert [record["pair"] for record in records] == [0, 1]
+    for record in records:
+        assert set(record) == {"side", "seed", "seconds", "commit", "pair", "result"}
+        metrics = record["result"]["metrics"]
+        assert set(metrics) == {
+            "wide_key_ms",
+            "wide_key_states",
+            "tray_single_n4_states_per_s",
+            "tray_subset_n4_states_per_s",
+            "loose_trio_r3_s",
+            "loose_trio_r3_states",
+            "setup_import_ms_best",
+            "setup_import_ms_median",
+            "setup_warmup_ms_best",
+            "setup_warmup_ms_median",
+        }
+        assert metrics["wide_key_states"]["value"] == 4032
+        assert metrics["loose_trio_r3_states"]["value"] == 10159
+        assert all(metric["value"] > 0 for metric in metrics.values())

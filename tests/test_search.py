@@ -1059,11 +1059,11 @@ class TestBitboardOracle:
         laid_out = clipped = 0
 
         class Watched(_Engine):
-            def unit_moves(self, state, cap):
+            def unit_moves(self, state, cap, boards=None):
                 nonlocal laid_out
-                assert self.in_arena(state)
+                assert self.in_arena(state) and boards is not None
                 laid_out += 1
-                return super().unit_moves(state, cap)
+                return super().unit_moves(state, cap, boards)
 
             def child(self, key, parent, combo, moved):
                 nonlocal clipped
@@ -1084,6 +1084,116 @@ class TestBitboardOracle:
                 search._explore(config, budget, goal)
         # children off the arena were made, and were never laid out
         assert laid_out > 0 and clipped > 0
+
+
+def _per_piece_unit_moves(engine, state):
+    """Single-piece `unit_moves` as it was before class boards: each piece's
+    mask stepped along every direction against the others' bits, by
+    (piece index, direction)."""
+    masks = engine._layout(state)
+    stride = engine.geometry[0]
+    occupied = engine._occupied(masks)
+    for i, moving in enumerate(masks):
+        others = occupied ^ moving
+        steps = (moving << 1, moving >> 1, moving << stride, moving >> stride)
+        for direction, step in zip(DIRECTIONS, steps):
+            if not step & others:
+                yield (i,), direction, search._shifted(state, (i,), direction)
+
+
+def _has_gapped_lane(shape):
+    """Does some row or column of the shape have a gap, as a U's does?"""
+    for axis in (0, 1):
+        lanes = {}
+        for cell in shape.cells:
+            lanes.setdefault(cell[1 - axis], []).append(cell[axis])
+        if any(max(lane) - min(lane) >= len(lane) for lane in lanes.values()):
+            return True
+    return False
+
+
+def _crowd_moves(engine, states):
+    """How many single-piece moves of the states move a piece of a class
+    with two members or more, which the class boards generate."""
+    return sum(
+        combo[0] in engine.board_of
+        for state in states
+        for combo, _, _ in engine.unit_moves(state, 1)
+    )
+
+
+class TestClassMoves:
+    """Single-piece moves from class boards against the per-piece loop,
+    and the boards the BFS carries against boards rebuilt from the state."""
+
+    def _check_every_state(self, engine, limit=None):
+        states = _bfs_states(engine, SINGLE_PIECE, 1)[:limit]
+        for state in states:
+            assert list(engine.unit_moves(state, 1)) == list(
+                _per_piece_unit_moves(engine, state)
+            )
+        return states
+
+    def test_trays_and_named_instances_match(self):
+        crowded = 0
+        boards = [tray for tray, _ in _tray_corpus()] + _named_instances()
+        for config in boards:
+            for key in (None, max(config.piece_ids())):
+                for radius in (0, 1):
+                    engine = _Engine(config, radius, key_piece=key)
+                    states = self._check_every_state(engine)
+                    crowded += _crowd_moves(engine, states)
+        assert crowded > 0
+
+    @given(
+        seed=st.integers(0, 10_000),
+        side=st.integers(3, 6),
+        framed=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_gapped_forms_match(self, seed, side, framed):
+        # U pentominoes in their four orientations, so congruent ones share
+        # a class whose front cells include the gap, in a frame or loose
+        spec = PackingSpec(width=side, height=side, max_pieces=8, max_cells=5)
+        pieces = random_packing(seed, spec, shape_filter=_has_gapped_lane).cell_map()
+        assume(pieces)
+        if framed:
+            pieces["F"] = [
+                (x, y)
+                for x in range(-1, side + 1)
+                for y in range(-1, side + 1)
+                if x in (-1, side) or y in (-1, side)
+            ]
+        engine = _Engine(_config(**pieces), radius=1)
+        self._check_every_state(engine, limit=150)
+
+    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
+    def test_carried_boards_match_rebuilt_boards(self, mode, monkeypatch):
+        expanded = carried = drifted = 0
+
+        class Watched(_Engine):
+            def unit_moves(self, state, cap, boards=None):
+                nonlocal expanded
+                assert boards == self.boards(state)
+                expanded += 1
+                return super().unit_moves(state, cap, boards)
+
+            def carry(self, boards, parent, moved, child, combo):
+                nonlocal carried, drifted
+                found = super().carry(boards, parent, moved, child, combo)
+                assert found == self.boards(child)
+                carried += 1
+                drifted += moved != child
+                return found
+
+        monkeypatch.setattr(search, "_Engine", Watched)
+        trio = _config(A=[(0, 0), (1, 0)], B=[(3, 1), (3, 2)], C=[(1, 3)])
+        boards = _named_instances() + [tray for tray, _ in _tray_corpus()] + [trio]
+        for config in boards:
+            for radius in (0, 2):
+                budget = SearchBudget(radius, max_states=300, mode=mode)
+                search._explore(config, budget, lambda engine, state, cap: None)
+        assert expanded > 0 and carried > 0 and drifted > 0
 
 
 def _oracle_key(engine, state):
