@@ -144,8 +144,9 @@ def main():
         return 1
     sys.path.insert(0, str(source))
     started = time.perf_counter()
-    metrics = search_metrics(args.quick)
-    metrics.update(setup_metrics(args.seed, 3 if args.quick else 15))
+    # the set-up split first, before the searches leave a large heap behind
+    metrics = setup_metrics(args.seed, 3 if args.quick else 15)
+    metrics.update(search_metrics(args.quick))
     record = {
         "side": args.side,
         "seed": args.seed,

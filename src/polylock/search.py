@@ -344,11 +344,10 @@ class _Engine:
     them per child. Piece p is bit p of every piece set, and sets are
     limited to min(`cap`, pieces), the largest rigid set allowed to move.
 
-    * One piece moves along d when its mask stepped along d meets no other
-      bit. A class of one is tested so. The movers of a larger class are
-      its anchor board less occupied shifted by -g for every front cell g,
-      a cell of the form stepped along d outside the form; each mover's
-      anchor names its piece.
+    * A piece steps along d when none of its front cells g (its form stepped
+      along d, less the form) is occupied: one mask test for a class of one.
+      A larger class's movers are its anchor board less occupied shifted by
+      -g for every g, each named by its anchor.
     * A set escapes along a direction when the ray fill of its mask across
       the arena (`_ray_fill`) meets no other piece's bit. On a board of two
       pieces or more the set may not be all of them, so escapes are limited
@@ -421,18 +420,22 @@ class _Engine:
         )
         self.offsets = tuple((low - y0) * stride - x0 for low in lows)
 
-        # a larger class moves by its anchor board and per-direction front shifts
+        # a class's front cells per direction, as a mask with a one-cell
+        # margin for a class of one and as shifts from the anchor for a larger
         members: dict[int, list[int]] = {}
         for i, c in enumerate(self.classes):
             members.setdefault(c, []).append(i)
-        self.loners = tuple(m[0] for m in members.values() if len(m) == 1)
-        crowds = [m for m in members.values() if len(m) > 1]
-        self.board_of = {i: b for b, m in enumerate(crowds) for i in m}
-        self.fronts = []
-        for m in crowds:
-            form = set(self.forms[m[0]])
+        self.loners, self.fronts, crowds = [], [], []
+        for m in members.values():
+            form, low = set(self.forms[m[0]]), lows[m[0]]
             steps = [{(x + d.dx, y + d.dy) for x, y in form} - form for d in DIRECTIONS]
-            self.fronts.append([[y * stride + x for x, y in front] for front in steps])
+            if len(m) == 1:
+                rows = [[(y - low + 1) * stride + x + 1 for x, y in s] for s in steps]
+                self.loners.append((m[0], [sum(1 << b for b in r) for r in rows]))
+            else:
+                crowds.append(m)
+                self.fronts.append([[y * stride + x for x, y in s] for s in steps])
+        self.board_of = {i: b for b, m in enumerate(crowds) for i in m}
         self.corner, self.origin = (x0, y0), y0 * stride + x0
 
     def in_arena(self, state: tuple[Cell, ...]) -> bool:
@@ -502,9 +505,8 @@ class _Engine:
         return boards
 
     def carry(self, boards, parent, moved, child, combo) -> list[int]:
-        """The boards of `child`, normalized from `moved`: `parent`, with
-        boards `boards`, after `combo` moved. The moved bits leave, a drift
-        shifts the rest (exact, as `child` lies in the arena), and they return."""
+        """`child`'s boards from `parent`'s: `combo`'s bits move to their new
+        anchors, the rest shift by the drift from `moved` (exact in the arena)."""
         stride = self.geometry[0]
         (mx, my), (cx, cy) = moved[combo[0]], child[combo[0]]
         drift = (cy - my) * stride + cx - mx
@@ -535,15 +537,13 @@ class _Engine:
                 for direction in directions:
                     yield combo, direction, _shifted(state, combo, direction)
             return
-        shapes, offsets = self.shapes, self.offsets
-        found = []
-        for i in self.loners:
+        raised, offsets, found = occupied << stride + 1, self.offsets, []
+        for i, fronts in self.loners:
             x, y = state[i]
-            moving = shapes[i] << y * stride + x + offsets[i]
-            others = occupied ^ moving
+            near = raised >> y * stride + x + offsets[i]
             code = i << 2
-            for step in (moving << 1, moving >> 1, moving << stride, moving >> stride):
-                if not step & others:
+            for front in fronts:
+                if not near & front:
                     found.append(code)
                 code += 1
         x0, y0 = self.corner
@@ -624,10 +624,9 @@ def _explore(
     if payload is not None:
         return "hit", payload, 1, ()
 
-    frontier = deque([(start_key, engine.boards(start))])
+    frontier = deque([(start_key, start, engine.boards(start))])
     while frontier:
-        current, boards = frontier.popleft()
-        parent = states[current][0]
+        current, parent, boards = frontier.popleft()
         for combo, direction, moved in engine.unit_moves(parent, cap, boards):
             child, state_key = engine.child(current, parent, combo, moved)
             if state_key is None or state_key in states:
@@ -639,7 +638,8 @@ def _explore(
             if payload is not None:
                 trace = _rebuild_trace(states, state_key, engine.ids)
                 return "hit", payload, len(states), trace
-            frontier.append((state_key, engine.carry(boards, parent, moved, child, combo)))
+            carried = engine.carry(boards, parent, moved, child, combo)
+            frontier.append((state_key, child, carried))
     return "exhausted", None, len(states), None
 
 
