@@ -33,9 +33,8 @@ its own path only, and replays legally.
 Moves and escapes are tested on Python-int bitboards in the arena's frame,
 fixed once per search (see `_Engine`); the arena's area is capped at
 `MAX_ARENA_CELLS`. Single-piece moves come per shape class, from anchor
-bitboards that the BFS carries along its frontier and updates per child. The
-one move parameter is the cap, the largest rigid set allowed to move: 1 in
-single-piece mode, `DEFAULT_SUBSET_CAP` in subset-move mode.
+bitboards carried along the BFS frontier. The one move parameter is the cap:
+1 in single-piece mode, `DEFAULT_SUBSET_CAP` in subset-move mode.
 `slide_dependency` reads `Configuration.owner`.
 """
 
@@ -335,17 +334,18 @@ class _Engine:
     (x0, y0), and the stride adds one empty pad column, so a step along x
     (a shift by 1) off a row's end lands in the pad, and one along y (by the
     stride) off the bottom or top leaves the arena. Piece i anchored at
-    (x, y) is shapes[i] << y * stride + x + offsets[i], so every query takes
-    states inside the arena: the start and the children `child` keyed.
+    (x, y) is shapes[i] << y * stride + x + offsets[i]; outside the arena it
+    would wrap or shift by a negative count, so every query takes states in
+    the arena: the start and the children `child` keyed.
 
     A state's boards are an anchor board per shape class of two pieces or
     more, its members' anchor bits, then the occupied cells. The BFS carries
-    them along its frontier, not in its state table, and `carry` updates
-    them per child. Piece p is bit p of every piece set, and sets are
-    limited to min(`cap`, pieces), the largest rigid set allowed to move.
+    them with each state along its frontier, not in its state table, and
+    `carry` updates them per child. Piece p is bit p of every piece set, and
+    sets are limited to min(`cap`, pieces), the largest rigid set to move.
 
     * A piece steps along d when none of its front cells g (its form stepped
-      along d, less the form) is occupied: one mask test for a class of one.
+      along d, less the form) is occupied: one mask test for a lone piece.
       A larger class's movers are its anchor board less occupied shifted by
       -g for every g, each named by its anchor.
     * A set escapes along a direction when the ray fill of its mask across
@@ -421,7 +421,7 @@ class _Engine:
         self.offsets = tuple((low - y0) * stride - x0 for low in lows)
 
         # a class's front cells per direction, as a mask with a one-cell
-        # margin for a class of one and as shifts from the anchor for a larger
+        # margin for a class of one and as shifts from the anchor for a larger one
         members: dict[int, list[int]] = {}
         for i, c in enumerate(self.classes):
             members.setdefault(c, []).append(i)
@@ -496,21 +496,21 @@ class _Engine:
             raise ValueError("the search needs pieces that do not overlap")
         return occupied
 
-    def boards(self, state: tuple[Cell, ...]) -> list[int]:
+    def boards(self, state: tuple[Cell, ...]) -> tuple[int, ...]:
         """The boards of a state in the arena, built from its masks."""
         boards = [0] * len(self.fronts) + [self._occupied(self._layout(state))]
         for i, b in self.board_of.items():
             x, y = state[i]
             boards[b] |= 1 << y * self.geometry[0] + x - self.origin
-        return boards
+        return tuple(boards)
 
-    def carry(self, boards, parent, moved, child, combo) -> list[int]:
+    def carry(self, boards, parent, moved, child, combo) -> tuple[int, ...]:
         """`child`'s boards from `parent`'s: `combo`'s bits move to their new
         anchors, the rest shift by the drift from `moved` (exact in the arena)."""
         stride = self.geometry[0]
         (mx, my), (cx, cy) = moved[combo[0]], child[combo[0]]
         drift = (cy - my) * stride + cx - mx
-        boards = boards.copy()
+        boards = list(boards)
         for state in (parent, child):
             if state is child and drift:
                 boards = [b << drift if drift > 0 else b >> -drift for b in boards]
@@ -519,10 +519,10 @@ class _Engine:
                 boards[-1] ^= self.shapes[i] << y * stride + x + self.offsets[i]
                 if i in self.board_of:
                     boards[self.board_of[i]] ^= 1 << y * stride + x - self.origin
-        return boards
+        return tuple(boards)
 
     def unit_moves(
-        self, state: tuple[Cell, ...], cap: int, boards: list[int] | None = None
+        self, state: tuple[Cell, ...], cap: int, boards: tuple[int, ...] | None = None
     ) -> Iterator[tuple[tuple[int, ...], Direction, tuple[Cell, ...]]]:
         """(combo, direction, moved) per legal unit move of a state in the
         arena, by (size, combo, direction); its `boards` are built if not given."""
