@@ -848,15 +848,17 @@ def _tray_corpus():
     return [(tray, True) for tray in closed] + [(_doored_tray(), False)]
 
 
-def _bfs_states(engine, mode, cap):
-    """Every state the BFS reaches inside the arena, in BFS order."""
+def _bfs_states(engine, mode, cap, limit=None):
+    """Every state the BFS reaches inside the arena, in BFS order, or the
+    first `limit` of them."""
     seen = {engine.state_key(engine.start)}
     states = [engine.start]
     for state in states:
         for _, _, moved in engine.unit_moves(state, _cap(mode, cap)):
             moved = _normalize(engine, moved)
             key = engine.state_key(moved)
-            if engine.in_arena(moved) and key not in seen:
+            full = limit is not None and len(states) >= limit
+            if engine.in_arena(moved) and key not in seen and not full:
                 seen.add(key)
                 states.append(moved)
     return states
@@ -1127,7 +1129,7 @@ class TestClassMoves:
     and the boards the BFS carries against boards rebuilt from the state."""
 
     def _check_every_state(self, engine, limit=None):
-        states = _bfs_states(engine, SINGLE_PIECE, 1)[:limit]
+        states = _bfs_states(engine, SINGLE_PIECE, 1, limit)
         for state in states:
             assert list(engine.unit_moves(state, 1)) == list(
                 _per_piece_unit_moves(engine, state)
