@@ -6,6 +6,9 @@ share. `result["metrics"]` maps each name to {"value", "unit"}:
 
 * `wide_key_ms`: `key_piece_reachable` of tile T00 on the framed 8x8 tray
   to (-20, 0) at radius 3, which explores all 4,032 states;
+* `subset_key_ms`: `key_piece_reachable` of K on `tray_with_key()` to
+  (3, 3) at radius 2 in subset-move mode, reached after 226 states: the
+  path of the `subset` workload's key queries;
 * `tray_<mode>_n<n>_states_per_s`: `escape_search` on the framed n x n
   tray of unit tiles, hole in the far corner, at radius 3, n = 4, 6, 8,
   in both move modes;
@@ -67,6 +70,7 @@ def best(call, repeats):
 
 def search_metrics(quick):
     from polylock import Configuration, SearchBudget, escape_search, key_piece_reachable
+    from polylock.instances import tray_with_key
 
     repeats = 1 if quick else 5
     metrics = {}
@@ -76,6 +80,12 @@ def search_metrics(quick):
     )
     metrics["wide_key_ms"] = (seconds * 1000, "ms")
     metrics["wide_key_states"] = (answer.states_explored, "count")
+    budget = SearchBudget(radius=2, max_states=300, mode="subset-move")
+    seconds, answer = best(
+        lambda: key_piece_reachable(tray_with_key(), "K", (3, 3), budget), repeats
+    )
+    metrics["subset_key_ms"] = (seconds * 1000, "ms")
+    metrics["subset_key_states"] = (answer.states_explored, "count")
     for mode in ("single-piece", "subset-move"):
         for n in (4,) if quick else (4, 6, 8):
             budget = SearchBudget(radius=3, mode=mode)

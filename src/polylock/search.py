@@ -32,9 +32,11 @@ its own path only, and replays legally.
 
 Moves and escapes are tested on Python-int bitboards in the arena's frame,
 fixed once per search (see `_Engine`); the arena's area is capped at
-`MAX_ARENA_CELLS`. Single-piece moves come per shape class, from anchor
-bitboards carried along the BFS frontier. The one move parameter is the cap:
-1 in single-piece mode, `DEFAULT_SUBSET_CAP` in subset-move mode.
+`MAX_ARENA_CELLS`. A frontier state carries what its moves read: its shape
+classes' anchor bitboards in single-piece mode, and its contact relation in
+subset-move mode. The reverse of the move that made it, which leads back to
+its parent, is never tried. The one move parameter is the cap: 1 in
+single-piece mode, `DEFAULT_SUBSET_CAP` in subset-move mode.
 `slide_dependency` reads `Configuration.owner`.
 """
 
@@ -199,22 +201,18 @@ def _reach(bits: int, relation) -> int:
     return reach
 
 
-def _contacts(masks: list[int], stride: int) -> tuple[list[int], list[list[int]]]:
-    """(touching, hits) of the pieces' masks.
-
-    touching[p] is the bit set of pieces edge-adjacent to p, and
-    hits[k][p] the pieces that p's unit step along DIRECTIONS[k] meets.
-    Each piece's one-step halo is tested against every later mask.
-    """
-    count = len(masks)
-    touching = [0] * count
-    hits = [[0] * count for _ in DIRECTIONS]
-    for p, mask in enumerate(masks):
+def _touch(masks: list[int], stride: int, pieces, rows: list[list[int]]) -> tuple:
+    """(touching, hits) from the rows [touching, *hits] of a relation that
+    records no contact of `pieces`, once their halos meet every other mask:
+    touching[p] is the bit set of pieces edge-adjacent to p, and hits[k][p]
+    the pieces that p's unit step along DIRECTIONS[k] meets."""
+    touching, *hits = rows
+    for p in pieces:
+        mask = masks[p]
         steps = (mask << 1, mask >> 1, mask << stride, mask >> stride)
         halo = steps[0] | steps[1] | steps[2] | steps[3]
-        for q in range(p + 1, count):
-            other = masks[q]
-            if halo & other:
+        for q, other in enumerate(masks):
+            if halo & other and q != p:
                 touching[p] |= 1 << q
                 touching[q] |= 1 << p
                 for k, step in enumerate(steps):
@@ -276,21 +274,35 @@ def _closed_sets(
     return sets
 
 
-def _ray_hits(
-    masks: list[int], occupied: int, direction: Direction, geometry
+def _ray_closures(
+    masks: list[int], occupied: int, direction: Direction, geometry, limit: int
 ) -> list[int]:
-    """Piece p -> the bit set of pieces that p's ray fill along `direction`
-    meets."""
-    hits = []
-    for mask in masks:
-        fill = _ray_fill(mask, direction, geometry) & (occupied ^ mask)
-        hit = 0
-        if fill:
-            for q, other in enumerate(masks):
-                if fill & other:
-                    hit |= 1 << q
-        hits.append(hit)
-    return hits
+    """`_closures` of "p's ray fill along `direction` meets q", each row
+    built when a closure first reaches it. A closure holds its members'
+    closures, so a fill that meets a piece whose closure passed the limit
+    stops there, and its row is the set of such pieces; only fills that
+    meet none are matched against the masks."""
+    rows: list[int | None] = [None] * len(masks)
+    closures = []
+    large = stop = 0
+    for p in range(len(masks)):
+        closed = new = 1 << p
+        while new and not new & large and closed.bit_count() <= limit:
+            for q in _piece_indices(new):
+                if rows[q] is None:
+                    fill = _ray_fill(masks[q], direction, geometry, stop)
+                    hit = fill & (occupied ^ masks[q])
+                    rows[q] = large if fill & stop else sum(
+                        1 << r for r, other in enumerate(masks) if hit & other
+                    )
+            new = _reach(new, rows) & ~closed
+            closed |= new
+        if new:
+            large |= 1 << p
+            stop |= masks[p]
+            closed = 0
+        closures.append(closed)
+    return closures
 
 
 def _box_geometry(width: int, height: int) -> tuple:
@@ -343,6 +355,9 @@ class _Engine:
     them with each state along its frontier, not in its state table, and
     `carry` updates them per child. Piece p is bit p of every piece set, and
     sets are limited to min(`cap`, pieces), the largest rigid set to move.
+    Above a limit of one the BFS carries the contact relation (`relation`)
+    instead: piece sets only, which no drift changes, so `relate` re-tests
+    only the moved pieces.
 
     * A piece steps along d when none of its front cells g (its form stepped
       along d, less the form) is occupied: one mask test for a lone piece.
@@ -356,10 +371,10 @@ class _Engine:
       piece under a member would count as a blocker of its set.
     * Above a limit of one, `_closed_sets` builds the sets. A set of at
       most limit pieces can step along d exactly when it is connected and
-      closed under "p's step along d meets q" (`_contacts`), and escapes
+      closed under "p's step along d meets q" (`_touch`), and escapes
       along d exactly when it is connected and closed under "p's ray fill
-      along d meets q" (`_ray_hits`; the fill of a union is the union of
-      the fills). One-step closures are connected, so every move union
+      along d meets q" (`_ray_closures`; the fill of a union is the union
+      of the fills). One-step closures are connected, so every move union
       is; a ray closure need not be, so escapes keep the connected unions
       only. A state where no ray closure is within the limit has no
       escape, and its contact graph is never built.
@@ -504,6 +519,23 @@ class _Engine:
             boards[b] |= 1 << y * self.geometry[0] + x - self.origin
         return tuple(boards)
 
+    def relation(self, state: tuple[Cell, ...]) -> tuple:
+        """The contact relation (`_touch`) of a state in the arena."""
+        masks = self._layout(state)
+        self._occupied(masks)
+        rows = [[0] * len(masks) for _ in range(5)]
+        return _touch(masks, self.geometry[0], range(len(masks)), rows)
+
+    def relate(self, relation, parent, moved, child, combo) -> tuple:
+        """`child`'s contact relation from its parent's, as `carry` takes
+        boards: only `combo`'s pieces moved, and a drift moves all alike."""
+        kept = ~sum(1 << p for p in combo)
+        rows = [[bits & kept for bits in row] for row in (relation[0], *relation[1])]
+        for row in rows:
+            for p in combo:
+                row[p] = 0
+        return _touch(self._layout(child), self.geometry[0], combo, rows)
+
     def carry(self, boards, parent, moved, child, combo) -> tuple[int, ...]:
         """`child`'s boards from `parent`'s: `combo`'s bits move to their new
         anchors, the rest shift by the drift from `moved` (exact in the arena)."""
@@ -522,21 +554,22 @@ class _Engine:
         return tuple(boards)
 
     def unit_moves(
-        self, state: tuple[Cell, ...], cap: int, boards: tuple[int, ...] | None = None
+        self, state: tuple[Cell, ...], cap: int, carried: tuple | None = None
     ) -> Iterator[tuple[tuple[int, ...], Direction, tuple[Cell, ...]]]:
         """(combo, direction, moved) per legal unit move of a state in the
-        arena, by (size, combo, direction); its `boards` are built if not given."""
-        boards = boards or self.boards(state)
-        occupied, stride = boards[-1], self.geometry[0]
+        arena, by (size, combo, direction). `carried` is the state's contact
+        relation above a limit of one and its boards at one; it is built if
+        not given."""
         limit = min(cap, len(state))
         if limit > 1:
-            masks = self._layout(state)
-            touching, hits = _contacts(masks, stride)
+            touching, hits = carried or self.relation(state)
             closures = [_closures(relation, len(state), limit) for relation in hits]
             for combo, directions in _closed_sets(closures, touching, limit):
                 for direction in directions:
                     yield combo, direction, _shifted(state, combo, direction)
             return
+        boards = carried or self.boards(state)
+        occupied, stride = boards[-1], self.geometry[0]
         raised, offsets, found = occupied << stride + 1, self.offsets, []
         for i, fronts in self.loners:
             x, y = state[i]
@@ -581,12 +614,12 @@ class _Engine:
                         return frozenset((self.ids[i],)), direction
             return None
         closures = [
-            _closures(_ray_hits(masks, occupied, direction, geometry), count, limit)
+            _ray_closures(masks, occupied, direction, geometry, limit)
             for direction in DIRECTIONS
         ]
         if not any(map(any, closures)):
             return None
-        touching, _ = _contacts(masks, geometry[0])
+        touching, _ = self.relation(state)
         for combo, directions in _closed_sets(closures, touching, limit):
             if _connected(combo, touching):
                 return frozenset(self.ids[i] for i in combo), directions[0]
@@ -624,10 +657,17 @@ def _explore(
     if payload is not None:
         return "hit", payload, 1, ()
 
-    frontier = deque([(start_key, start, engine.boards(start))])
+    # a state carries its contact relation in subset mode, else its boards
+    build, update = engine.boards, engine.carry
+    if min(cap, len(start)) > 1:
+        build, update = engine.relation, engine.relate
+    frontier = deque([(start_key, start, build(start), None, None)])
     while frontier:
-        current, parent, boards = frontier.popleft()
-        for combo, direction, moved in engine.unit_moves(parent, cap, boards):
+        current, parent, carried, back, back_direction = frontier.popleft()
+        for combo, direction, moved in engine.unit_moves(parent, cap, carried):
+            # the reverse of the move that made `parent` leads back to it
+            if direction is back_direction and combo == back:
+                continue
             child, state_key = engine.child(current, parent, combo, moved)
             if state_key is None or state_key in states:
                 continue
@@ -638,8 +678,8 @@ def _explore(
             if payload is not None:
                 trace = _rebuild_trace(states, state_key, engine.ids)
                 return "hit", payload, len(states), trace
-            carried = engine.carry(boards, parent, moved, child, combo)
-            frontier.append((state_key, child, carried))
+            following = update(carried, parent, moved, child, combo)
+            frontier.append((state_key, child, following, combo, direction.opposite))
     return "exhausted", None, len(states), None
 
 

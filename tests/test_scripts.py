@@ -73,6 +73,8 @@ def test_search_layers_writes_a_bench_record(tmp_path):
         assert set(metrics) == {
             "wide_key_ms",
             "wide_key_states",
+            "subset_key_ms",
+            "subset_key_states",
             "tray_single_n4_states_per_s",
             "tray_subset_n4_states_per_s",
             "loose_trio_r3_s",
@@ -83,5 +85,6 @@ def test_search_layers_writes_a_bench_record(tmp_path):
             "setup_warmup_ms_median",
         }
         assert metrics["wide_key_states"]["value"] == 4032
+        assert metrics["subset_key_states"]["value"] == 226
         assert metrics["loose_trio_r3_states"]["value"] == 10159
         assert all(metric["value"] > 0 for metric in metrics.values())

@@ -1061,11 +1061,11 @@ class TestBitboardOracle:
         laid_out = clipped = 0
 
         class Watched(_Engine):
-            def unit_moves(self, state, cap, boards=None):
+            def unit_moves(self, state, cap, carried=None):
                 nonlocal laid_out
-                assert self.in_arena(state) and boards is not None
+                assert self.in_arena(state) and carried is not None
                 laid_out += 1
-                return super().unit_moves(state, cap, boards)
+                return super().unit_moves(state, cap, carried)
 
             def child(self, key, parent, combo, moved):
                 nonlocal clipped
@@ -1126,7 +1126,8 @@ def _crowd_moves(engine, states):
 
 class TestClassMoves:
     """Single-piece moves from class boards against the per-piece loop,
-    and the boards the BFS carries against boards rebuilt from the state."""
+    and the boards the BFS carries against boards rebuilt from the state.
+    Subset mode carries contact relations instead (`TestSubsetRelations`)."""
 
     def _check_every_state(self, engine, limit=None):
         states = _bfs_states(engine, SINGLE_PIECE, 1, limit)
@@ -1169,16 +1170,15 @@ class TestClassMoves:
         engine = _Engine(_config(**pieces), radius=1)
         self._check_every_state(engine, limit=150)
 
-    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
-    def test_carried_boards_match_rebuilt_boards(self, mode, monkeypatch):
+    def test_carried_boards_match_rebuilt_boards(self, monkeypatch):
         expanded = carried = drifted = 0
 
         class Watched(_Engine):
-            def unit_moves(self, state, cap, boards=None):
+            def unit_moves(self, state, cap, carried=None):
                 nonlocal expanded
-                assert boards == self.boards(state)
+                assert carried == self.boards(state)
                 expanded += 1
-                return super().unit_moves(state, cap, boards)
+                return super().unit_moves(state, cap, carried)
 
             def carry(self, boards, parent, moved, child, combo):
                 nonlocal carried, drifted
@@ -1193,9 +1193,139 @@ class TestClassMoves:
         boards = _named_instances() + [tray for tray, _ in _tray_corpus()] + [trio]
         for config in boards:
             for radius in (0, 2):
-                budget = SearchBudget(radius, max_states=300, mode=mode)
+                budget = SearchBudget(radius, max_states=300)
                 search._explore(config, budget, lambda engine, state, cap: None)
         assert expanded > 0 and carried > 0 and drifted > 0
+
+
+def _contacts(masks, stride):
+    """(touching, hits) of the pieces' masks, every pair tested once: the
+    relation the search carries, rebuilt from scratch."""
+    count = len(masks)
+    touching = [0] * count
+    hits = [[0] * count for _ in DIRECTIONS]
+    for p, mask in enumerate(masks):
+        steps = (mask << 1, mask >> 1, mask << stride, mask >> stride)
+        for q in range(p + 1, count):
+            other = masks[q]
+            for k, step in enumerate(steps):
+                if step & other:
+                    touching[p] |= 1 << q
+                    touching[q] |= 1 << p
+                    hits[k][p] |= 1 << q
+                    # directions pair up as k, k ^ 1
+                    hits[k ^ 1][q] |= 1 << p
+    return touching, hits
+
+
+def _ray_hits(masks, occupied, direction, geometry):
+    """Piece p -> the bit set of pieces that p's full ray fill along
+    `direction` meets: every row the lazy ray closures may build."""
+    hits = []
+    for mask in masks:
+        fill = search._ray_fill(mask, direction, geometry) & (occupied ^ mask)
+        hits.append(sum(1 << q for q, other in enumerate(masks) if fill & other))
+    return hits
+
+
+class TestSubsetRelations:
+    """Subset mode's carried contact relations against relations rebuilt
+    from the state, and its lazy ray closures against closures of every
+    piece's full ray hits."""
+
+    def test_carried_relations_match_rebuilt_relations(self, monkeypatch):
+        expanded = related = drifted = 0
+
+        class Watched(_Engine):
+            def rebuilt(self, state):
+                return _contacts(self._layout(state), self.geometry[0])
+
+            def unit_moves(self, state, cap, carried=None):
+                nonlocal expanded
+                assert carried == self.rebuilt(state)
+                expanded += 1
+                return super().unit_moves(state, cap, carried)
+
+            def relate(self, relation, parent, moved, child, combo):
+                nonlocal related, drifted
+                found = super().relate(relation, parent, moved, child, combo)
+                assert found == self.rebuilt(child)
+                related += 1
+                drifted += moved != child
+                return found
+
+        monkeypatch.setattr(search, "_Engine", Watched)
+        boards = _named_instances() + [tray for tray, _ in _tray_corpus()]
+        for config in boards:
+            for radius in (0, 1):
+                budget = SearchBudget(radius, max_states=300, mode=SUBSET_MOVE)
+                search._explore(config, budget, lambda engine, state, cap: None)
+        assert expanded > 0 and related > 0 and drifted > 0
+
+    def test_start_relation_refuses_overlaps(self):
+        config = _config(A=[(0, 0), (1, 0)], B=[(3, 0)])
+        engine = _Engine(config, radius=2)
+        with pytest.raises(ValueError, match="overlap"):
+            engine.relation(((0, 0), (1, 0)))
+        assert engine.relation(engine.start) == ([0, 0], [[0, 0] for _ in DIRECTIONS])
+
+    @given(
+        seed=st.integers(0, 10_000),
+        side=st.integers(2, 6),
+        density=st.sampled_from([0.5, 0.8, 1.0]),
+        framed=st.booleans(),
+        limit=st.integers(2, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ray_closures_match_closures_of_full_hits(
+        self, seed, side, density, framed, limit
+    ):
+        spec = PackingSpec(
+            width=side, height=side, max_pieces=8, max_cells=5, target_density=density
+        )
+        pieces = random_packing(seed, spec).cell_map()
+        assume(pieces)
+        if framed:
+            # a frame's closure passes every limit first, so others stop at it
+            pieces["F"] = [
+                (x, y)
+                for x in range(-1, side + 1)
+                for y in range(-1, side + 1)
+                if x in (-1, side) or y in (-1, side)
+            ]
+        engine = _Engine(_config(**pieces), radius=1)
+        masks = engine._layout(engine.start)
+        occupied = engine._occupied(masks)
+        for direction in DIRECTIONS:
+            hits = _ray_hits(masks, occupied, direction, engine.geometry)
+            expected = search._closures(hits, len(masks), limit)
+            got = search._ray_closures(masks, occupied, direction, engine.geometry, limit)
+            assert got == expected
+
+    def test_search_skips_the_move_back_to_the_parent(self, monkeypatch):
+        # the reverse of the move that made a state is always legal, and
+        # every state but the start is expanded once
+        moves = children = expanded = 0
+
+        class Watched(_Engine):
+            def unit_moves(self, state, cap, carried=None):
+                nonlocal moves, expanded
+                found = list(super().unit_moves(state, cap, carried))
+                moves += len(found)
+                expanded += 1
+                return iter(found)
+
+            def child(self, key, parent, combo, moved):
+                nonlocal children
+                children += 1
+                return super().child(key, parent, combo, moved)
+
+        monkeypatch.setattr(search, "_Engine", Watched)
+        for mode in (SINGLE_PIECE, SUBSET_MOVE):
+            budget = SearchBudget(radius=0, mode=mode)
+            status = search._explore(_framed_tray(4, (4, 4)), budget, lambda *_: None)[0]
+            assert status == "exhausted"
+        assert children == moves - (expanded - 2)
 
 
 def _oracle_key(engine, state):
