@@ -169,25 +169,26 @@ def _ray_fill(moving: int, direction: Direction, geometry, stop: int = 0) -> int
     return fill
 
 
-def _closures(successors, count: int, limit: int) -> list[int]:
+def _closures(successors, predecessors, count: int, limit: int) -> list[int]:
     """Each piece's closure under a relation, or 0 where it passes `limit` pieces.
 
-    Piece p is bit p here, and `successors[p]` is the bit set p relates to.
-    A closure that reaches a piece whose closure is already known to be too
-    large is too large as well.
+    Piece p is bit p here, `successors[p]` is the bit set p relates to, and
+    `predecessors[p]` the set that relates to p. A closure holds its
+    members' closures, so once p's passes the limit, so does every closure
+    that reaches p, and those are not built.
     """
     closures = []
     large = 0
     for p in range(count):
         closed = new = 1 << p
-        while new:
-            if new & large or closed.bit_count() > limit:
-                large |= 1 << p
-                closed = 0
-                break
+        while new and not new & large and closed.bit_count() <= limit:
             new = _reach(new, successors) & ~closed
             closed |= new
-        closures.append(closed)
+        grown = (1 << p) & ~large if new else 0
+        while grown:
+            large |= grown
+            grown = _reach(grown, predecessors) & ~large
+        closures.append(0 if new else closed)
     return closures
 
 
@@ -279,29 +280,25 @@ def _ray_closures(
 ) -> list[int]:
     """`_closures` of "p's ray fill along `direction` meets q", each row
     built when a closure first reaches it. A closure holds its members'
-    closures, so a fill that meets a piece whose closure passed the limit
-    stops there, and its row is the set of such pieces; only fills that
-    meet none are matched against the masks."""
+    closures, so once p's passes the limit, so does that of every piece
+    that meets p's fill the opposite way (its own fill meets p), and those
+    pieces' fills are never built."""
     rows: list[int | None] = [None] * len(masks)
     closures = []
-    large = stop = 0
-    for p in range(len(masks)):
+    large = 0
+    for p, mask in enumerate(masks):
         closed = new = 1 << p
         while new and not new & large and closed.bit_count() <= limit:
             for q in _piece_indices(new):
                 if rows[q] is None:
-                    fill = _ray_fill(masks[q], direction, geometry, stop)
-                    hit = fill & (occupied ^ masks[q])
-                    rows[q] = large if fill & stop else sum(
-                        1 << r for r, other in enumerate(masks) if hit & other
-                    )
+                    hit = _ray_fill(masks[q], direction, geometry) & (occupied ^ masks[q])
+                    rows[q] = sum(1 << r for r, other in enumerate(masks) if hit & other)
             new = _reach(new, rows) & ~closed
             closed |= new
-        if new:
-            large |= 1 << p
-            stop |= masks[p]
-            closed = 0
-        closures.append(closed)
+        if new and not large >> p & 1:
+            behind = _ray_fill(mask, direction.opposite, geometry)
+            large |= sum(1 << q for q, other in enumerate(masks) if other & behind)
+        closures.append(0 if new else closed)
     return closures
 
 
@@ -563,7 +560,10 @@ class _Engine:
         limit = min(cap, len(state))
         if limit > 1:
             touching, hits = carried or self.relation(state)
-            closures = [_closures(relation, len(state), limit) for relation in hits]
+            # q's step along -d meets p exactly when p's step along d meets q
+            closures = [
+                _closures(hits[k], hits[k ^ 1], len(state), limit) for k in range(4)
+            ]
             for combo, directions in _closed_sets(closures, touching, limit):
                 for direction in directions:
                     yield combo, direction, _shifted(state, combo, direction)
@@ -657,16 +657,15 @@ def _explore(
     if payload is not None:
         return "hit", payload, 1, ()
 
-    # a state carries its contact relation in subset mode, else its boards
     build, update = engine.boards, engine.carry
     if min(cap, len(start)) > 1:
         build, update = engine.relation, engine.relate
     frontier = deque([(start_key, start, build(start), None, None)])
     while frontier:
-        current, parent, carried, back, back_direction = frontier.popleft()
+        current, parent, carried, mover, made = frontier.popleft()
         for combo, direction, moved in engine.unit_moves(parent, cap, carried):
             # the reverse of the move that made `parent` leads back to it
-            if direction is back_direction and combo == back:
+            if combo == mover and direction.axis == made.axis and direction is not made:
                 continue
             child, state_key = engine.child(current, parent, combo, moved)
             if state_key is None or state_key in states:
@@ -679,7 +678,7 @@ def _explore(
                 trace = _rebuild_trace(states, state_key, engine.ids)
                 return "hit", payload, len(states), trace
             following = update(carried, parent, moved, child, combo)
-            frontier.append((state_key, child, following, combo, direction.opposite))
+            frontier.append((state_key, child, following, combo, direction))
     return "exhausted", None, len(states), None
 
 

@@ -1228,10 +1228,29 @@ def _ray_hits(masks, occupied, direction, geometry):
     return hits
 
 
+def _plain_closures(successors, limit):
+    """Each piece's closure under a relation, grown from it alone, or 0
+    where it passes `limit` pieces."""
+    closures = []
+    for p in range(len(successors)):
+        closed, todo = {p}, [p]
+        while todo:
+            for q in _indices(successors[todo.pop()]):
+                if q not in closed:
+                    closed.add(q)
+                    todo.append(q)
+        closures.append(sum(1 << q for q in closed) if len(closed) <= limit else 0)
+    return closures
+
+
+def _indices(bits):
+    return [q for q in range(bits.bit_length()) if bits >> q & 1]
+
+
 class TestSubsetRelations:
     """Subset mode's carried contact relations against relations rebuilt
-    from the state, and its lazy ray closures against closures of every
-    piece's full ray hits."""
+    from the state, and its closures, which skip pieces that reach a
+    closure already too large, against closures grown piece by piece."""
 
     def test_carried_relations_match_rebuilt_relations(self, monkeypatch):
         expanded = related = drifted = 0
@@ -1277,9 +1296,7 @@ class TestSubsetRelations:
         limit=st.integers(2, 4),
     )
     @settings(max_examples=60, deadline=None)
-    def test_ray_closures_match_closures_of_full_hits(
-        self, seed, side, density, framed, limit
-    ):
+    def test_closures_match_plain_closures(self, seed, side, density, framed, limit):
         spec = PackingSpec(
             width=side, height=side, max_pieces=8, max_cells=5, target_density=density
         )
@@ -1296,9 +1313,12 @@ class TestSubsetRelations:
         engine = _Engine(_config(**pieces), radius=1)
         masks = engine._layout(engine.start)
         occupied = engine._occupied(masks)
-        for direction in DIRECTIONS:
-            hits = _ray_hits(masks, occupied, direction, engine.geometry)
-            expected = search._closures(hits, len(masks), limit)
+        _, steps = _contacts(masks, engine.geometry[0])
+        for k, direction in enumerate(DIRECTIONS):
+            expected = _plain_closures(steps[k], limit)
+            assert search._closures(steps[k], steps[k ^ 1], len(masks), limit) == expected
+            rays = _ray_hits(masks, occupied, direction, engine.geometry)
+            expected = _plain_closures(rays, limit)
             got = search._ray_closures(masks, occupied, direction, engine.geometry, limit)
             assert got == expected
 
