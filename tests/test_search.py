@@ -1235,16 +1235,12 @@ def _plain_closures(successors, limit):
     for p in range(len(successors)):
         closed, todo = {p}, [p]
         while todo:
-            for q in _indices(successors[todo.pop()]):
+            for q in search._piece_indices(successors[todo.pop()]):
                 if q not in closed:
                     closed.add(q)
                     todo.append(q)
         closures.append(sum(1 << q for q in closed) if len(closed) <= limit else 0)
     return closures
-
-
-def _indices(bits):
-    return [q for q in range(bits.bit_length()) if bits >> q & 1]
 
 
 class TestSubsetRelations:
@@ -1303,7 +1299,8 @@ class TestSubsetRelations:
         pieces = random_packing(seed, spec).cell_map()
         assume(pieces)
         if framed:
-            # a frame's closure passes every limit first, so others stop at it
+            # a frame's closure passes every limit first, and marks every
+            # piece inside it too large
             pieces["F"] = [
                 (x, y)
                 for x in range(-1, side + 1)
