@@ -18,12 +18,17 @@ share. `result["metrics"]` maps each name to {"value", "unit"}:
 * `setup_import_ms_*` and `setup_warmup_ms_*`: best and median of fresh
   imports of `polylock.cli` and of the warm-up query that
   `perfbench/run.py --workload tray --seed SEED` times with each import
-  (round 0's single-piece `solve`).
+  (round 0's single-piece `solve`);
+* `enumerate_n<n>_cold_ms` and `enumerate_n<n>_warm_ms`, n = 8, 9, 10:
+  `enumerate_free(n)` as the first call after a fresh import of
+  `polylock.grid`, and the same call repeated in that import.
 
-The millisecond cases are best of 5 in one process, the trio runs once per
-radius, and the set-up split takes 15 imports. `--quick` runs the smallest
-case of each, once, with 3 imports. `--src` selects the polylock sources,
-so that two trees can be timed in alternated processes into one file.
+The millisecond cases are best of 5 in one process (the enumeration takes
+a fresh import for each), the trio runs once per radius, and the set-up
+split takes 15 imports. `--quick` runs the smallest search case of each,
+once, with 3 imports and one enumeration import per n. `--src` selects the
+polylock sources, so that two trees can be timed in alternated processes
+into one file.
 
 Run from the repository root:
 
@@ -104,6 +109,13 @@ def search_metrics(quick):
     return metrics
 
 
+def fresh_import(module):
+    """`module` imported anew, with every polylock module dropped first."""
+    for name in [n for n in sys.modules if n.split(".")[0] == "polylock"]:
+        del sys.modules[name]
+    return importlib.import_module(module)
+
+
 def setup_metrics(seed, imports):
     """Fresh imports of polylock.cli, each followed by the tray warm-up query."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -113,10 +125,8 @@ def setup_metrics(seed, imports):
     with tempfile.TemporaryDirectory() as work:
         warm_up = run.tray_round(seed, 0, Path(work))[0]
         for _ in range(imports):
-            for name in [n for n in sys.modules if n.split(".")[0] == "polylock"]:
-                del sys.modules[name]
             started = time.perf_counter()
-            cli = importlib.import_module("polylock.cli")
+            cli = fresh_import("polylock.cli")
             loaded = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(warm_up.argv)
@@ -128,6 +138,24 @@ def setup_metrics(seed, imports):
     for name, samples in (("import", imported), ("warmup", warmed)):
         metrics[f"setup_{name}_ms_best"] = (min(samples) * 1000, "ms")
         metrics[f"setup_{name}_ms_median"] = (statistics.median(samples) * 1000, "ms")
+    return metrics
+
+
+def enumerate_metrics(imports):
+    """Best cold and warm `enumerate_free(n)` over `imports` fresh imports."""
+    metrics = {}
+    for n in (8, 9, 10):
+        cold, warm = [], []
+        for _ in range(imports):
+            grid = fresh_import("polylock.grid")
+            started = time.perf_counter()
+            grid.enumerate_free(n)
+            first = time.perf_counter()
+            grid.enumerate_free(n)
+            warm.append(time.perf_counter() - first)
+            cold.append(first - started)
+        metrics[f"enumerate_n{n}_cold_ms"] = (min(cold) * 1000, "ms")
+        metrics[f"enumerate_n{n}_warm_ms"] = (min(warm) * 1000, "ms")
     return metrics
 
 
@@ -156,6 +184,7 @@ def main():
     started = time.perf_counter()
     # the set-up split first, before the searches leave a large heap behind
     metrics = setup_metrics(args.seed, 3 if args.quick else 15)
+    metrics.update(enumerate_metrics(1 if args.quick else 5))
     metrics.update(search_metrics(args.quick))
     record = {
         "side": args.side,

@@ -10,7 +10,9 @@ checking the integer stations along the way.
 (`canonical_free_form`, `fixed_orientations`, `enumerate_free`) are built
 unchecked by `_trusted`. Symmetry images are compared as integer keys
 (`_image_keys`), sums of per-cell bits whose largest is the canonical free
-form; enumeration sums each shape's bits once per box it grows into.
+form; enumeration sums each shape's bits once per box it grows into. Each
+enumeration level is grown and decoded at its first call and kept for the
+process, up to `MAX_ENUMERATION_CELLS` levels (7.9 MB for all ten).
 
 A `Configuration` is its pieces' world cells keyed by id, plus the owner
 of every occupied cell; pieces are never stored as a shape and an offset.
@@ -67,7 +69,7 @@ class Direction(Enum):
 
     @property
     def opposite(self) -> "Direction":
-        return Direction((-self.value[0], -self.value[1]))
+        return DIRECTIONS[DIRECTIONS.index(self) ^ 1]  # opposites pair up as k, k ^ 1
 
     @classmethod
     def parse(cls, token: str) -> "Direction":
@@ -134,10 +136,6 @@ class Polyomino:
                 raise ValueError(f"cell {cell!r} is not an (int, int) pair")
         if not is_connected(self.cells):
             raise ValueError(f"cells are not edge-connected: {sorted(self.cells)}")
-
-    @classmethod
-    def from_cells(cls, cells: Iterable[Cell]) -> "Polyomino":
-        return cls(frozenset(cells))
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -235,38 +233,55 @@ def fixed_orientations(shape: Polyomino) -> list[Polyomino]:
     return [_trusted(_decode(key, s)) for key in sorted(set(keys), reverse=True)]
 
 
-def enumerate_free(n: int) -> list[Polyomino]:
-    """All free polyominoes with n cells, in canonical free form, ordered by
-    sorted cell tuple (descending key order).
+@functools.lru_cache(maxsize=None)
+def _free_keys(n: int) -> frozenset[int]:
+    """The canonical keys of the free n-ominoes, grown from level n - 1.
 
     Grows each (n-1)-cell representative by every border cell (Redelmeier,
     Discrete Math. 36, 1981). Per box the grown shapes span, at most five,
     the representative's 8 image keys are summed once from `_box_table`; a
     candidate's canonical key is the largest of them plus its cell's entry.
     """
+    if n == 1:
+        return frozenset([max(_image_keys([(0, 0)])[1])])
+    grown = set()
+    for key in _free_keys(n - 1):
+        rep = _decode(key, MAX_ENUMERATION_CELLS)
+        w, h = max(x for x, _ in rep), max(y for _, y in rep)
+        boxes: dict[tuple[int, int, int, int], list[Cell]] = {}  # by grown box
+        for x, y in {nb for cell in rep for nb in neighbors(cell)} - rep:
+            box = (x if x < 0 else 0, y if y < 0 else 0,
+                   x if x > w else w, y if y > h else h)
+            boxes.setdefault(box, []).append((x, y))
+        for (x0, y0, x1, y1), cells in boxes.items():
+            table = _box_table(x1 - x0, y1 - y0)
+            base = list(map(sum, zip(*[table[x - x0, y - y0] for x, y in rep])))
+            for x, y in cells:
+                grown.add(max(map(add, base, table[x - x0, y - y0])))
+    return frozenset(grown)
+
+
+@functools.lru_cache(maxsize=None)
+def _free_shapes(n: int) -> tuple[Polyomino, ...]:
+    """Level n decoded once, in descending key order."""
+    keys = sorted(_free_keys(n), reverse=True)
+    return tuple(_trusted(_decode(key, MAX_ENUMERATION_CELLS)) for key in keys)
+
+
+def enumerate_free(n: int) -> list[Polyomino]:
+    """All free polyominoes with n cells, in canonical free form, ordered by
+    sorted cell tuple (descending key order).
+
+    Each level is grown (`_free_keys`) and decoded (`_free_shapes`) once per
+    process, at its first call; a repeat call copies the kept tuple into a
+    fresh list. `MAX_ENUMERATION_CELLS` bounds what is kept: about 0.7 MB
+    up to n = 8 and 7.9 MB up to n = 10.
+    """
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_ENUMERATION_CELLS:
         raise ValueError(
             f"cell count must be an integer in 1..{MAX_ENUMERATION_CELLS}, got {n!r}"
         )
-    s = MAX_ENUMERATION_CELLS
-    level = {max(_image_keys([(0, 0)])[1])}
-    for _ in range(n - 1):
-        grown = set()
-        for key in level:
-            rep = _decode(key, s)
-            w, h = max(x for x, _ in rep), max(y for _, y in rep)
-            boxes: dict[tuple[int, int, int, int], list[Cell]] = {}  # by grown box
-            for x, y in {nb for cell in rep for nb in neighbors(cell)} - rep:
-                box = (x if x < 0 else 0, y if y < 0 else 0,
-                       x if x > w else w, y if y > h else h)
-                boxes.setdefault(box, []).append((x, y))
-            for (x0, y0, x1, y1), cells in boxes.items():
-                table = _box_table(x1 - x0, y1 - y0)
-                base = list(map(sum, zip(*[table[x - x0, y - y0] for x, y in rep])))
-                for x, y in cells:
-                    grown.add(max(map(add, base, table[x - x0, y - y0])))
-        level = grown
-    return [_trusted(_decode(key, s)) for key in sorted(level, reverse=True)]
+    return list(_free_shapes(n))
 
 
 def _check_disjoint(cells_by_id: Mapping[str, Iterable[Cell]]) -> dict[Cell, str]:

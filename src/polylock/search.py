@@ -32,11 +32,12 @@ its own path only, and replays legally.
 
 Moves and escapes are tested on Python-int bitboards in the arena's frame,
 fixed once per search (see `_Engine`); the arena's area is capped at
-`MAX_ARENA_CELLS`. A frontier state carries what its moves read: its shape
-classes' anchor bitboards in single-piece mode, and its contact relation in
-subset-move mode. The reverse of the move that made it, which leads back to
-its parent, is never tried. The one move parameter is the cap: 1 in
-single-piece mode, `DEFAULT_SUBSET_CAP` in subset-move mode.
+`MAX_ARENA_CELLS`. A frontier state carries what its moves read: the move
+that made it, whose reverse is dropped before any anchors are built, and its
+shape classes' anchor bitboards in single-piece mode or its contact relation
+in subset-move mode. The state table keeps each state's parent key and move
+alone. The one move parameter is the cap: 1 in single-piece mode,
+`DEFAULT_SUBSET_CAP` in subset-move mode.
 `slide_dependency` reads `Configuration.owner`.
 """
 
@@ -551,13 +552,15 @@ class _Engine:
         return tuple(boards)
 
     def unit_moves(
-        self, state: tuple[Cell, ...], cap: int, carried: tuple | None = None
+        self, state: tuple[Cell, ...], cap: int, carried: tuple | None = None, made=None
     ) -> Iterator[tuple[tuple[int, ...], Direction, tuple[Cell, ...]]]:
         """(combo, direction, moved) per legal unit move of a state in the
         arena, by (size, combo, direction). `carried` is the state's contact
         relation above a limit of one and its boards at one; it is built if
-        not given."""
+        not given. The reverse of `made`, the (combo, direction) that made
+        the state, is left out."""
         limit = min(cap, len(state))
+        mover, back = (made[0], made[1].opposite) if made else ((), None)
         if limit > 1:
             touching, hits = carried or self.relation(state)
             # q's step along -d meets p exactly when p's step along d meets q
@@ -566,7 +569,8 @@ class _Engine:
             ]
             for combo, directions in _closed_sets(closures, touching, limit):
                 for direction in directions:
-                    yield combo, direction, _shifted(state, combo, direction)
+                    if direction is not back or combo != mover:
+                        yield combo, direction, _shifted(state, combo, direction)
             return
         boards = carried or self.boards(state)
         occupied, stride = boards[-1], self.geometry[0]
@@ -591,7 +595,10 @@ class _Engine:
                     movers ^= low
                     y, x = divmod(low.bit_length() - 1, stride)
                     found.append(state.index((x + x0, y + y0)) << 2 | k)
+        skip = mover[0] << 2 | DIRECTIONS.index(back) if made else -1
         for code in sorted(found):
+            if code == skip:
+                continue
             combo, direction = (code >> 2,), DIRECTIONS[code & 3]
             yield combo, direction, _shifted(state, combo, direction)
 
@@ -629,7 +636,7 @@ class _Engine:
 def _rebuild_trace(states, state_key, ids) -> tuple[TraceMove, ...]:
     moves = []
     while True:
-        _, parent, move = states[state_key]
+        parent, move = states[state_key]
         if parent is None:
             break
         combo, direction = move
@@ -652,7 +659,7 @@ def _explore(
     engine = _Engine(config, budget.radius, key_piece=key_piece)
     start = engine.start
     start_key = engine.state_key(start)
-    states = {start_key: (start, None, None)}
+    states = {start_key: (None, None)}
     payload = goal(engine, start, cap)
     if payload is not None:
         return "hit", payload, 1, ()
@@ -660,25 +667,23 @@ def _explore(
     build, update = engine.boards, engine.carry
     if min(cap, len(start)) > 1:
         build, update = engine.relation, engine.relate
-    frontier = deque([(start_key, start, build(start), None, None)])
+    frontier = deque([(start_key, start, build(start), None)])
     while frontier:
-        current, parent, carried, mover, made = frontier.popleft()
-        for combo, direction, moved in engine.unit_moves(parent, cap, carried):
-            # the reverse of the move that made `parent` leads back to it
-            if combo == mover and direction.axis == made.axis and direction is not made:
-                continue
+        current, parent, carried, made = frontier.popleft()
+        for combo, direction, moved in engine.unit_moves(parent, cap, carried, made):
             child, state_key = engine.child(current, parent, combo, moved)
             if state_key is None or state_key in states:
                 continue
             if len(states) >= budget.max_states:
                 return "out-of-budget", None, len(states), None
-            states[state_key] = (child, current, (combo, direction))
+            move = combo, direction
+            states[state_key] = current, move
             payload = goal(engine, child, cap)
             if payload is not None:
                 trace = _rebuild_trace(states, state_key, engine.ids)
                 return "hit", payload, len(states), trace
             following = update(carried, parent, moved, child, combo)
-            frontier.append((state_key, child, following, combo, direction))
+            frontier.append((state_key, child, following, move))
     return "exhausted", None, len(states), None
 
 

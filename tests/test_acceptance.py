@@ -37,7 +37,7 @@ from polylock.instances import pinwheel, tray_with_key
 from polylock.packing import PackingSpec, random_packing
 from polylock.svg import render_svg
 
-U_PENTOMINO = Polyomino.from_cells([(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)])
+U_PENTOMINO = Polyomino(frozenset([(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)]))
 
 
 def _is_acyclic(edges, nodes):

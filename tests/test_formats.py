@@ -232,7 +232,6 @@ class TestDisconnectedCells:
     def test_constructors_raise_value_error(self, cells):
         for build in (
             lambda: Polyomino(frozenset(cells)),
-            lambda: Polyomino.from_cells(cells),
             lambda: Configuration.from_cell_map({"A": cells, "B": [(9, 9)]}),
         ):
             with pytest.raises(ValueError, match="cells are not edge-connected"):

@@ -11,15 +11,20 @@ from __future__ import annotations
 
 import importlib
 import math
+import os
 import pkgutil
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polylock
+from polylock import grid
 from polylock.grid import (
     MAX_ENUMERATION_CELLS,
     _decode,
@@ -265,6 +270,66 @@ def test_enumerate_free_matches_the_tuple_enumerator():
 @pytest.mark.parametrize("n", range(1, MAX_ENUMERATION_CELLS + 1))
 def test_enumerate_free_matches_the_keyed_enumerator(n):
     assert [shape.cells for shape in enumerate_free(n)] == _keyed_enumerate_free(n)
+
+
+def _clear_enumeration_memo():
+    grid._free_keys.cache_clear()
+    grid._free_shapes.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "order",
+    [list(range(1, 11)), list(range(10, 0, -1)), [8, 8, 3, 10, 3, 10, 1, 1]],
+    ids=["ascending", "descending", "repeated"],
+)
+def test_memoised_levels_match_the_keyed_enumerator_in_any_order(order):
+    expected = {n: _keyed_enumerate_free(n) for n in set(order)}
+    _clear_enumeration_memo()
+    try:
+        for n in order:
+            assert [shape.cells for shape in enumerate_free(n)] == expected[n], n
+        assert grid._free_keys.cache_info().currsize == max(order)
+        assert grid._free_shapes.cache_info().currsize == len(set(order))
+    finally:
+        _clear_enumeration_memo()
+
+
+def test_mutating_a_returned_list_leaves_the_next_call_alone():
+    first = enumerate_free(5)
+    expected = list(first)
+    first.reverse()
+    first.append(first.pop(0))
+    del first[3:]
+    second = enumerate_free(5)
+    assert second == expected and second is not first
+    assert len(second) == 12
+
+
+def test_bad_cell_counts_raise_once_level_one_is_cached():
+    assert [shape.cells for shape in enumerate_free(1)] == [frozenset({(0, 0)})]
+    assert grid._free_shapes.cache_info().currsize >= 1
+    for bad in (True, False, 2.5, 0, 11):
+        with pytest.raises(ValueError, match="cell count"):
+            enumerate_free(bad)
+
+
+def test_a_fresh_import_computes_no_level():
+    # every module of the package, as the CLI and the scripts import it
+    code = (
+        "import pkgutil, importlib, polylock\n"
+        "for m in pkgutil.iter_modules(polylock.__path__):\n"
+        "    importlib.import_module('polylock.' + m.name)\n"
+        "from polylock import grid\n"
+        "print(grid._free_keys.cache_info().currsize,"
+        " grid._free_shapes.cache_info().currsize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    found = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert found.returncode == 0, found.stderr
+    assert found.stdout == "0 0\n"
 
 
 def test_decode_matches_the_regex_decoder_on_free_shapes():

@@ -83,6 +83,7 @@ def test_search_layers_writes_a_bench_record(tmp_path):
             "setup_import_ms_median",
             "setup_warmup_ms_best",
             "setup_warmup_ms_median",
+            *(f"enumerate_n{n}_{when}_ms" for n in (8, 9, 10) for when in ("cold", "warm")),
         }
         assert metrics["wide_key_states"]["value"] == 4032
         assert metrics["subset_key_states"]["value"] == 226

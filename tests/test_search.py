@@ -1061,11 +1061,11 @@ class TestBitboardOracle:
         laid_out = clipped = 0
 
         class Watched(_Engine):
-            def unit_moves(self, state, cap, carried=None):
+            def unit_moves(self, state, cap, carried=None, made=None):
                 nonlocal laid_out
                 assert self.in_arena(state) and carried is not None
                 laid_out += 1
-                return super().unit_moves(state, cap, carried)
+                return super().unit_moves(state, cap, carried, made)
 
             def child(self, key, parent, combo, moved):
                 nonlocal clipped
@@ -1174,11 +1174,11 @@ class TestClassMoves:
         expanded = carried = drifted = 0
 
         class Watched(_Engine):
-            def unit_moves(self, state, cap, carried=None):
+            def unit_moves(self, state, cap, carried=None, made=None):
                 nonlocal expanded
                 assert carried == self.boards(state)
                 expanded += 1
-                return super().unit_moves(state, cap, carried)
+                return super().unit_moves(state, cap, carried, made)
 
             def carry(self, boards, parent, moved, child, combo):
                 nonlocal carried, drifted
@@ -1255,11 +1255,11 @@ class TestSubsetRelations:
             def rebuilt(self, state):
                 return _contacts(self._layout(state), self.geometry[0])
 
-            def unit_moves(self, state, cap, carried=None):
+            def unit_moves(self, state, cap, carried=None, made=None):
                 nonlocal expanded
                 assert carried == self.rebuilt(state)
                 expanded += 1
-                return super().unit_moves(state, cap, carried)
+                return super().unit_moves(state, cap, carried, made)
 
             def relate(self, relation, parent, moved, child, combo):
                 nonlocal related, drifted
@@ -1325,12 +1325,11 @@ class TestSubsetRelations:
         moves = children = expanded = 0
 
         class Watched(_Engine):
-            def unit_moves(self, state, cap, carried=None):
+            def unit_moves(self, state, cap, carried=None, made=None):
                 nonlocal moves, expanded
-                found = list(super().unit_moves(state, cap, carried))
-                moves += len(found)
+                moves += len(list(super().unit_moves(state, cap, carried)))
                 expanded += 1
-                return iter(found)
+                return super().unit_moves(state, cap, carried, made)
 
             def child(self, key, parent, combo, moved):
                 nonlocal children
@@ -1343,6 +1342,30 @@ class TestSubsetRelations:
             status = search._explore(_framed_tray(4, (4, 4)), budget, lambda *_: None)[0]
             assert status == "exhausted"
         assert children == moves - (expanded - 2)
+
+    @pytest.mark.parametrize("mode", [SINGLE_PIECE, SUBSET_MOVE])
+    def test_unit_moves_drop_only_the_reverse_of_the_move_made(self, mode):
+        # every BFS state of the trays, given the move that first reached it
+        cap, dropped = _cap(mode), 0
+        for config, _ in _tray_corpus():
+            engine = _Engine(config, radius=0)
+            made_by = {engine.state_key(engine.start): None}
+            states = [engine.start]
+            for state in states:
+                made = made_by[engine.state_key(state)]
+                every = [(combo, d) for combo, d, _ in engine.unit_moves(state, cap)]
+                kept = [(combo, d) for combo, d, _ in engine.unit_moves(state, cap, None, made)]
+                if made is not None:
+                    every.remove((made[0], made[1].opposite))
+                    dropped += 1
+                assert kept == every
+                for combo, direction, moved in engine.unit_moves(state, cap):
+                    moved = _normalize(engine, moved)
+                    key = engine.state_key(moved)
+                    if engine.in_arena(moved) and key not in made_by:
+                        made_by[key] = (combo, direction)
+                        states.append(moved)
+        assert dropped > 100
 
 
 def _oracle_key(engine, state):
