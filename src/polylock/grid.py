@@ -12,7 +12,7 @@ unchecked by `_trusted`. Symmetry images are compared as integer keys
 (`_image_keys`), sums of per-cell bits whose largest is the canonical free
 form; enumeration sums each shape's bits once per box it grows into. Each
 enumeration level is grown and decoded at its first call and kept for the
-process, up to `MAX_ENUMERATION_CELLS` levels (7.9 MB for all ten).
+process, up to `MAX_ENUMERATION_CELLS` levels (8.9 MB for all ten).
 
 A `Configuration` is its pieces' world cells keyed by id, plus the owner
 of every occupied cell; pieces are never stored as a shape and an offset.
@@ -274,8 +274,8 @@ def enumerate_free(n: int) -> list[Polyomino]:
 
     Each level is grown (`_free_keys`) and decoded (`_free_shapes`) once per
     process, at its first call; a repeat call copies the kept tuple into a
-    fresh list. `MAX_ENUMERATION_CELLS` bounds what is kept: about 0.7 MB
-    up to n = 8 and 7.9 MB up to n = 10.
+    fresh list. `MAX_ENUMERATION_CELLS` bounds what is kept: about 0.6 MB
+    up to n = 8 and 8.9 MB up to n = 10.
     """
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_ENUMERATION_CELLS:
         raise ValueError(
