@@ -12,6 +12,9 @@ share. `result["metrics"]` maps each name to {"value", "unit"}:
 * `tray_<mode>_n<n>_states_per_s`: `escape_search` on the framed n x n
   tray of unit tiles, hole in the far corner, at radius 3, n = 4, 6, 8,
   in both move modes;
+* `tray_subset_n<n>_fills_per_state`: the `search._ray_fill` calls per
+  explored state of the same subset-move search, run once more with the
+  function wrapped: the slide rows the escape test builds;
 * `loose_trio_r<r>_s`: the loose trio A = [(0,0),(1,0)], B = [(3,1),(3,2)],
   C = [(1,3)], key C to (40, 41), single-piece, at radius 3, 6 and 10.
   Every move of it may drift the board;
@@ -73,6 +76,25 @@ def best(call, repeats):
     return min(times), result
 
 
+def fills_per_state(config, budget):
+    """`search._ray_fill` calls per explored state of one `escape_search`."""
+    from polylock import search
+
+    ray_fill, calls = search._ray_fill, 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return ray_fill(*args)
+
+    search._ray_fill = counted
+    try:
+        verdict = search.escape_search(config, budget)
+    finally:
+        search._ray_fill = ray_fill
+    return calls / verdict.states_explored
+
+
 def search_metrics(quick):
     from polylock import Configuration, SearchBudget, escape_search, key_piece_reachable
     from polylock.instances import tray_with_key
@@ -97,6 +119,9 @@ def search_metrics(quick):
             seconds, verdict = best(lambda: escape_search(framed_tray(n), budget), repeats)
             label = f"tray_{mode.split('-')[0]}_n{n}_states_per_s"
             metrics[label] = (verdict.states_explored / seconds, "1/s")
+            if mode == "subset-move":
+                fills = fills_per_state(framed_tray(n), budget)
+                metrics[f"tray_subset_n{n}_fills_per_state"] = (fills, "count/state")
     trio = Configuration.from_cell_map(
         {"A": [(0, 0), (1, 0)], "B": [(3, 1), (3, 2)], "C": [(1, 3)]}
     )

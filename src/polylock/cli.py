@@ -27,6 +27,7 @@ from .corridor import (
 )
 from .formats import ParsedDocument, emit_grid, parse_document
 from .grid import (
+    DIRECTIONS,
     MAX_ENUMERATION_CELLS,
     Configuration,
     Direction,
@@ -51,7 +52,7 @@ from .separation import (
 )
 from .svg import render_svg
 
-_DIRECTION_CHOICES = ("+x", "-x", "+y", "-y")
+_DIRECTION_CHOICES = tuple(map(str, DIRECTIONS))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,23 +99,32 @@ def _print_moves(moves) -> None:
         print(f"move {order}: {_piece_set(piece_ids)} {direction}")
 
 
-def _cmd_classify(args) -> int:
-    config = _load(args.file).config
+def _piece_pockets(config: Configuration):
+    """(id, shape, [(axis, pockets or EnclosedHoleError)]) per piece, by id."""
     for pid in sorted(config.piece_ids()):
         shape = _trusted(config.cells_of(pid))  # checked when the file was read
+        found = []
+        for axis in ("x", "y"):
+            try:
+                found.append((axis, pockets(shape, axis)))
+            except EnclosedHoleError as err:
+                found.append((axis, err))
+        yield pid, shape, found
+
+
+def _cmd_classify(args) -> int:
+    for pid, shape, found in _piece_pockets(_load(args.file).config):
         report = classify(shape)
         print(
             f"piece {pid}: x-monotone {_yn(report.x_monotone)}, "
             f"y-monotone {_yn(report.y_monotone)}, "
             f"orthogonally-convex {_yn(report.orthogonally_convex)}"
         )
-        for axis in ("x", "y"):
-            try:
-                found = pockets(shape, axis)
-            except EnclosedHoleError as err:
-                print(f"  enclosed hole blocking axis {axis}: {_cells(err.cells)}")
+        for axis, axis_pockets in found:
+            if isinstance(axis_pockets, EnclosedHoleError):
+                print(f"  enclosed hole blocking axis {axis}: {_cells(axis_pockets.cells)}")
                 continue
-            for pocket in found:
+            for pocket in axis_pockets:
                 print(
                     f"  pocket axis={axis} opening={pocket.opening} "
                     f"cells={_cells(pocket.cells)}"
@@ -270,14 +280,11 @@ def _cmd_render(args) -> int:
             return 2
     elif args.annotate == "pockets":
         pocket_cells = []
-        for pid in sorted(config.piece_ids()):
-            shape = _trusted(config.cells_of(pid))  # checked when the file was read
-            for axis in ("x", "y"):
-                try:
-                    for pocket in pockets(shape, axis):
+        for _, _, found in _piece_pockets(config):
+            for _, axis_pockets in found:
+                if not isinstance(axis_pockets, EnclosedHoleError):
+                    for pocket in axis_pockets:
                         pocket_cells.extend(pocket.cells)
-                except EnclosedHoleError:
-                    continue
     Path(args.output).write_text(
         render_svg(config, plan=plan, pocket_cells=pocket_cells),
         encoding="utf-8",

@@ -84,15 +84,10 @@ class Direction(Enum):
         return ("+" if self.sign > 0 else "-") + self.axis
 
 
-_DIRECTION_TOKENS = {
-    "+x": Direction.POS_X,
-    "-x": Direction.NEG_X,
-    "+y": Direction.POS_Y,
-    "-y": Direction.NEG_Y,
-}
-
 #: Canonical iteration order for the four directions.
 DIRECTIONS = (Direction.POS_X, Direction.NEG_X, Direction.POS_Y, Direction.NEG_Y)
+
+_DIRECTION_TOKENS = {str(d): d for d in DIRECTIONS}
 
 
 def neighbors(cell: Cell) -> Iterator[Cell]:

@@ -174,9 +174,10 @@ def _closures(successors, predecessors, count: int, limit: int) -> list[int]:
     """Each piece's closure under a relation, or 0 where it passes `limit` pieces.
 
     Piece p is bit p here, `successors[p]` is the bit set p relates to, and
-    `predecessors[p]` the set that relates to p. A closure holds its
-    members' closures, so once p's passes the limit, so does every closure
-    that reaches p, and those are not built.
+    `predecessors[p]` the set that relates to p; a row may be built when
+    first read (`_Rays`). A closure holds its members' closures, so once p's
+    passes the limit, p and its predecessors are marked, and a closure that
+    reaches a marked piece is not built.
     """
     closures = []
     large = 0
@@ -185,10 +186,8 @@ def _closures(successors, predecessors, count: int, limit: int) -> list[int]:
         while new and not new & large and closed.bit_count() <= limit:
             new = _reach(new, successors) & ~closed
             closed |= new
-        grown = (1 << p) & ~large if new else 0
-        while grown:
-            large |= grown
-            grown = _reach(grown, predecessors) & ~large
+        if new and not large >> p & 1:
+            large |= 1 << p | predecessors[p]
         closures.append(0 if new else closed)
     return closures
 
@@ -276,31 +275,19 @@ def _closed_sets(
     return sets
 
 
-def _ray_closures(
-    masks: list[int], occupied: int, direction: Direction, geometry, limit: int
-) -> list[int]:
-    """`_closures` of "p's ray fill along `direction` meets q", each row
-    built when a closure first reaches it. A closure holds its members'
-    closures, so once p's passes the limit, so does that of every piece
-    that meets p's fill the opposite way (its own fill meets p), and those
-    pieces' fills are never built."""
-    rows: list[int | None] = [None] * len(masks)
-    closures = []
-    large = 0
-    for p, mask in enumerate(masks):
-        closed = new = 1 << p
-        while new and not new & large and closed.bit_count() <= limit:
-            for q in _piece_indices(new):
-                if rows[q] is None:
-                    hit = _ray_fill(masks[q], direction, geometry) & (occupied ^ masks[q])
-                    rows[q] = sum(1 << r for r, other in enumerate(masks) if hit & other)
-            new = _reach(new, rows) & ~closed
-            closed |= new
-        if new and not large >> p & 1:
-            behind = _ray_fill(mask, direction.opposite, geometry)
-            large |= sum(1 << q for q, other in enumerate(masks) if other & behind)
-        closures.append(0 if new else closed)
-    return closures
+class _Rays(dict):
+    """Piece p -> the bit set of other pieces that p's ray fill along
+    `direction` meets: the rows of "p's slide to infinity meets q", each
+    built by one fill when it is first read."""
+
+    def __init__(self, masks: list[int], direction: Direction, geometry):
+        self.masks, self.direction, self.geometry = masks, direction, geometry
+
+    def __missing__(self, p: int) -> int:
+        mask = self.masks[p]
+        hit = _ray_fill(mask, self.direction, self.geometry) ^ mask
+        row = self[p] = sum(1 << q for q, other in enumerate(self.masks) if hit & other)
+        return row
 
 
 def _box_geometry(width: int, height: int) -> tuple:
@@ -371,11 +358,12 @@ class _Engine:
       most limit pieces can step along d exactly when it is connected and
       closed under "p's step along d meets q" (`_touch`), and escapes
       along d exactly when it is connected and closed under "p's ray fill
-      along d meets q" (`_ray_closures`; the fill of a union is the union
-      of the fills). One-step closures are connected, so every move union
-      is; a ray closure need not be, so escapes keep the connected unions
-      only. A state where no ray closure is within the limit has no
-      escape, and its contact graph is never built.
+      along d meets q" (`_Rays`, each row built when first read; the fill
+      of a union is the union of the fills). `_closures` grows both kinds.
+      One-step closures are connected, so every move union is; a ray
+      closure need not be, so escapes keep the connected unions only. A
+      state where no ray closure is within the limit has no escape, and its
+      contact graph is never built.
     * Sets come by (size, index tuple) and directions as in `DIRECTIONS`,
       so state counts and traces do not depend on the limit's path or on
       the classes: a limit of one yields what the closures would.
@@ -620,9 +608,12 @@ class _Engine:
                     if not _ray_fill(moving, direction, geometry, others) & others:
                         return frozenset((self.ids[i],)), direction
             return None
+        # q's slide along -d meets p exactly when p's slide along d meets q
         closures = [
-            _ray_closures(masks, occupied, direction, geometry, limit)
-            for direction in DIRECTIONS
+            _closures(
+                _Rays(masks, d, geometry), _Rays(masks, d.opposite, geometry), count, limit
+            )
+            for d in DIRECTIONS
         ]
         if not any(map(any, closures)):
             return None

@@ -14,7 +14,6 @@ from polylock import (
     NoUto,
     Polyomino,
     SearchBudget,
-    blocking_graph,
     canonical_free_form,
     classify,
     enumerate_free,
@@ -35,6 +34,7 @@ from polylock.formats import (
 from polylock.grid import Configuration, fixed_orientations
 from polylock.instances import pinwheel, tray_with_key
 from polylock.packing import PackingSpec, random_packing
+from polylock.separation import blocking_graph
 from polylock.svg import render_svg
 
 U_PENTOMINO = Polyomino(frozenset([(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)]))

@@ -77,6 +77,7 @@ def test_search_layers_writes_a_bench_record(tmp_path):
             "subset_key_states",
             "tray_single_n4_states_per_s",
             "tray_subset_n4_states_per_s",
+            "tray_subset_n4_fills_per_state",
             "loose_trio_r3_s",
             "loose_trio_r3_states",
             "setup_import_ms_best",

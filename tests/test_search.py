@@ -1243,6 +1243,37 @@ def _plain_closures(successors, limit):
     return closures
 
 
+def _ray_closures(masks, occupied, direction, geometry, limit):
+    """The slide closures' own builder, which `_closures` over `_Rays` rows
+    replaced, kept as the oracle: each row filled when a closure first
+    reaches it, and once p's closure passes the limit, every piece that p's
+    fill the opposite way meets marked too large."""
+    rows = [None] * len(masks)
+    closures = []
+    large = 0
+    for p, mask in enumerate(masks):
+        closed = new = 1 << p
+        while new and not new & large and closed.bit_count() <= limit:
+            for q in search._piece_indices(new):
+                if rows[q] is None:
+                    hit = search._ray_fill(masks[q], direction, geometry) & (occupied ^ masks[q])
+                    rows[q] = sum(1 << r for r, other in enumerate(masks) if hit & other)
+            new = search._reach(new, rows) & ~closed
+            closed |= new
+        if new and not large >> p & 1:
+            behind = search._ray_fill(mask, direction.opposite, geometry)
+            large |= sum(1 << q for q, other in enumerate(masks) if other & behind)
+        closures.append(0 if new else closed)
+    return closures
+
+
+def _slide_closures(masks, direction, geometry, limit):
+    """`_closures` over `_Rays` rows, as `escape_at` builds them."""
+    forward = search._Rays(masks, direction, geometry)
+    backward = search._Rays(masks, direction.opposite, geometry)
+    return search._closures(forward, backward, len(masks), limit)
+
+
 class TestSubsetRelations:
     """Subset mode's carried contact relations against relations rebuilt
     from the state, and its closures, which skip pieces that reach a
@@ -1299,8 +1330,8 @@ class TestSubsetRelations:
         pieces = random_packing(seed, spec).cell_map()
         assume(pieces)
         if framed:
-            # a frame's closure passes every limit first, and marks every
-            # piece inside it too large
+            # a frame's closure passes every limit first, and marks the
+            # pieces that relate to it too large
             pieces["F"] = [
                 (x, y)
                 for x in range(-1, side + 1)
@@ -1316,8 +1347,39 @@ class TestSubsetRelations:
             assert search._closures(steps[k], steps[k ^ 1], len(masks), limit) == expected
             rays = _ray_hits(masks, occupied, direction, engine.geometry)
             expected = _plain_closures(rays, limit)
-            got = search._ray_closures(masks, occupied, direction, engine.geometry, limit)
+            got = _slide_closures(masks, direction, engine.geometry, limit)
             assert got == expected
+            assert got == _ray_closures(masks, occupied, direction, engine.geometry, limit)
+
+    def test_slide_closures_match_the_old_builder_fill_for_fill(self, monkeypatch):
+        # on every subset-mode BFS state of the trays, at escape_at's limit;
+        # building rows nothing reads would show up as extra fills
+        fills = 0
+
+        def counted(*args):
+            nonlocal fills
+            fills += 1
+            return ray_fill(*args)
+
+        ray_fill = search._ray_fill
+        monkeypatch.setattr(search, "_ray_fill", counted)
+        checked = small = large = 0
+        for config, _ in _tray_corpus():
+            engine = _Engine(config, radius=0)
+            limit = min(DEFAULT_SUBSET_CAP, len(engine.start) - 1)
+            for state in _bfs_states(engine, SUBSET_MOVE, DEFAULT_SUBSET_CAP):
+                masks = engine._layout(state)
+                occupied = engine._occupied(masks)
+                for direction in DIRECTIONS:
+                    fills = 0
+                    expected = _ray_closures(masks, occupied, direction, engine.geometry, limit)
+                    old_fills, fills = fills, 0
+                    assert _slide_closures(masks, direction, engine.geometry, limit) == expected
+                    assert fills == old_fills
+                    checked += 1
+                    small += sum(map(bool, expected))
+                    large += expected.count(0)
+        assert checked > 100 and small > 0 and large > 0
 
     def test_search_skips_the_move_back_to_the_parent(self, monkeypatch):
         # the reverse of the move that made a state is always legal, and

@@ -26,7 +26,6 @@ from polylock import (
     OversizedPieceError,
     PlanError,
     SeparationPlan,
-    blocking_graph,
     classify,
     group_le5,
     plan_uto,
@@ -40,6 +39,7 @@ from polylock.separation import (
     _exit_preferences,
     _extreme,
     _find_cycle,
+    blocking_graph,
 )
 from polylock.instances import (
     case4_group,
