@@ -24,7 +24,11 @@ share. `result["metrics"]` maps each name to {"value", "unit"}:
   (round 0's single-piece `solve`);
 * `enumerate_n<n>_cold_ms` and `enumerate_n<n>_warm_ms`, n = 8, 9, 10:
   `enumerate_free(n)` as the first call after a fresh import of
-  `polylock.grid`, and the same call repeated in that import.
+  `polylock.grid`, and the same call repeated in that import;
+* `enumerate_cli_n8_cold_ms` and `enumerate_cli_n8_warm_ms`:
+  `cli.main(["enumerate", "-n", "8", "--filter", "non-convex"])` with
+  stdout captured, as the first call after a fresh import of
+  `polylock.cli`, and the same call repeated in that import.
 
 The millisecond cases are best of 5 in one process (the enumeration takes
 a fresh import for each), the trio runs once per radius, and the set-up
@@ -166,8 +170,13 @@ def setup_metrics(seed, imports):
     return metrics
 
 
+#: The `survey` workload's costliest query kind.
+ENUMERATE_CLI = ["enumerate", "-n", "8", "--filter", "non-convex"]
+
+
 def enumerate_metrics(imports):
-    """Best cold and warm `enumerate_free(n)` over `imports` fresh imports."""
+    """Best cold and warm `enumerate_free(n)`, and `cli.main(ENUMERATE_CLI)`,
+    over `imports` fresh imports."""
     metrics = {}
     for n in (8, 9, 10):
         cold, warm = [], []
@@ -181,6 +190,21 @@ def enumerate_metrics(imports):
             cold.append(first - started)
         metrics[f"enumerate_n{n}_cold_ms"] = (min(cold) * 1000, "ms")
         metrics[f"enumerate_n{n}_warm_ms"] = (min(warm) * 1000, "ms")
+    cold, warm = [], []
+    for _ in range(imports):
+        cli = fresh_import("polylock.cli")
+        times = []
+        for _ in range(2):
+            started = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(ENUMERATE_CLI)
+            times.append(time.perf_counter() - started)
+            if code != 0:
+                raise RuntimeError(f"{' '.join(ENUMERATE_CLI)} exited {code}")
+        cold.append(times[0])
+        warm.append(times[1])
+    metrics["enumerate_cli_n8_cold_ms"] = (min(cold) * 1000, "ms")
+    metrics["enumerate_cli_n8_warm_ms"] = (min(warm) * 1000, "ms")
     return metrics
 
 

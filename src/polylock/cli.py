@@ -5,8 +5,10 @@ found, key reachable), 1 for parse or usage errors, 2 for negative
 analysis results (no plan, locked within budget, key unreachable), and
 3 for searches that ran out of state budget.
 
-`main` parses with one argument parser per process, built on its first
-call; `build_parser` returns a fresh one.
+`main` keeps two things per process, each built on its first use: the
+argument parser (`build_parser` returns a fresh one), and the text of
+each `enumerate` (n, filter) pair, since a level and its grids never
+change.
 """
 
 from __future__ import annotations
@@ -220,15 +222,22 @@ _FILTERS = {
 }
 
 
-def _cmd_enumerate(args) -> int:
-    shapes = enumerate_free(args.n)
-    if args.filter:
-        keep = _FILTERS[args.filter]
+@functools.lru_cache(maxsize=None)
+def _enumeration(n: int, name: str | None) -> str:
+    """The text `enumerate -n n --filter name` prints, built on its first call."""
+    shapes = enumerate_free(n)
+    if name:
+        keep = _FILTERS[name]
         shapes = [shape for shape in shapes if keep(classify(shape))]
-    print(len(shapes))
+    grids = []
     for shape in shapes:
         owners = dict.fromkeys(shape.cells, "A")  # an enumerated shape is valid
-        print("\n" + emit_grid(Configuration._from_world({"A": shape.cells}, owners)), end="")
+        grids.append("\n" + emit_grid(Configuration._from_world({"A": shape.cells}, owners)))
+    return f"{len(shapes)}\n" + "".join(grids)
+
+
+def _cmd_enumerate(args) -> int:
+    print(_enumeration(args.n, args.filter), end="")
     return 0
 
 

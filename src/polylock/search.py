@@ -358,8 +358,8 @@ class _Engine:
       most limit pieces can step along d exactly when it is connected and
       closed under "p's step along d meets q" (`_touch`), and escapes
       along d exactly when it is connected and closed under "p's ray fill
-      along d meets q" (`_Rays`, each row built when first read; the fill
-      of a union is the union of the fills). `_closures` grows both kinds.
+      along d meets q" (`_Rays`, each row built when first read, once for
+      both d and -d; the fill of a union is the union of the fills). `_closures` grows both kinds.
       One-step closures are connected, so every move union is; a ray
       closure need not be, so escapes keep the connected unions only. A
       state where no ray closure is within the limit has no escape, and its
@@ -608,13 +608,10 @@ class _Engine:
                     if not _ray_fill(moving, direction, geometry, others) & others:
                         return frozenset((self.ids[i],)), direction
             return None
-        # q's slide along -d meets p exactly when p's slide along d meets q
-        closures = [
-            _closures(
-                _Rays(masks, d, geometry), _Rays(masks, d.opposite, geometry), count, limit
-            )
-            for d in DIRECTIONS
-        ]
+        # q's slide along -d meets p exactly when p's slide along d meets q,
+        # so each row is built once for both of its directions
+        rays = [_Rays(masks, d, geometry) for d in DIRECTIONS]
+        closures = [_closures(rays[k], rays[k ^ 1], count, limit) for k in range(4)]
         if not any(map(any, closures)):
             return None
         touching, _ = self.relation(state)

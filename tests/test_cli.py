@@ -1,8 +1,12 @@
 """Exit codes and output of every subcommand, run in process."""
 
+import os
+import subprocess
+import sys
 import time
 import xml.dom.minidom
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -302,8 +306,58 @@ def test_enumerate_prints_what_the_tuple_enumerator_prints(name, n, capsys):
         for cells in shapes
     )
     argv = ["enumerate", "-n", str(n)] + (["--filter", name] if name else [])
-    assert main(argv) == 0
-    assert capsys.readouterr().out == expected
+    cli._enumeration.cache_clear()
+    for _ in ("built", "kept"):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+def _enumerate_argv(n, name):
+    return ["enumerate", "-n", str(n)] + (["--filter", name] if name else [])
+
+
+def test_enumeration_texts_do_not_depend_on_the_order_they_are_built_in(capsys):
+    pairs = [(n, name) for n in range(1, 11) for name in (None, *_FILTERS)]
+    # both ends of the ascending list in turn: n = 1, 10, 1, 10, ..., 5, 6
+    interleaved = [pair for ends in zip(pairs, reversed(pairs)) for pair in ends][: len(pairs)]
+    first = {}
+    for order in (pairs, pairs[::-1], interleaved):
+        cli._enumeration.cache_clear()
+        for built_or_kept in range(2):
+            for pair in order:
+                assert main(_enumerate_argv(*pair)) == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                assert captured.out == first.setdefault(pair, captured.out), (pair, built_or_kept)
+    assert cli._enumeration.cache_info().currsize == len(pairs)
+    assert {int(text.split("\n", 1)[0]) for text in first.values()} > {0, 1, 4655}
+
+
+def test_enumerate_out_of_range_exits_1_and_keeps_nothing(capsys):
+    cli._enumeration.cache_clear()
+    bad = [_enumerate_argv(n, name) for n in (0, MAX_ENUMERATION_CELLS + 1) for name in (None, *_FILTERS)]
+    for levels in ("cold", "warm"):
+        if levels == "warm":
+            for n in range(1, MAX_ENUMERATION_CELLS + 1):
+                assert main(_enumerate_argv(n, "non-convex")) == 0
+            capsys.readouterr()
+        kept = cli._enumeration.cache_info().currsize
+        for argv in bad:
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: "), argv
+        assert cli._enumeration.cache_info().currsize == kept
+    assert kept == MAX_ENUMERATION_CELLS
+
+
+def test_a_fresh_import_builds_no_enumeration():
+    probe = "from polylock import cli; print(cli._enumeration.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
 
 
 def test_enumerate_help_states_the_cap(capsys):

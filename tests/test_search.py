@@ -1274,6 +1274,23 @@ def _slide_closures(masks, direction, geometry, limit):
     return search._closures(forward, backward, len(masks), limit)
 
 
+def _escape_at_per_direction(engine, state, cap):
+    """`escape_at` with a forward and a backward `_Rays` of its own per
+    direction, as it was before the four directions shared their rows, kept
+    as the oracle."""
+    masks = engine._layout(state)
+    count = len(masks)
+    limit = min(cap, max(count - 1, 1))
+    closures = [_slide_closures(masks, d, engine.geometry, limit) for d in DIRECTIONS]
+    if not any(map(any, closures)):
+        return None
+    touching, _ = engine.relation(state)
+    for combo, directions in search._closed_sets(closures, touching, limit):
+        if search._connected(combo, touching):
+            return frozenset(engine.ids[i] for i in combo), directions[0]
+    return None
+
+
 class TestSubsetRelations:
     """Subset mode's carried contact relations against relations rebuilt
     from the state, and its closures, which skip pieces that reach a
@@ -1380,6 +1397,40 @@ class TestSubsetRelations:
                     small += sum(map(bool, expected))
                     large += expected.count(0)
         assert checked > 100 and small > 0 and large > 0
+
+    def test_escape_at_builds_each_slide_row_once(self, monkeypatch):
+        # on every subset-mode BFS state of the trays: the answer of separate
+        # forward and backward rows per direction, and one fill per distinct
+        # (direction, piece) row read
+        fills, read = 0, set()
+
+        def counted(*args):
+            nonlocal fills
+            fills += 1
+            return ray_fill(*args)
+
+        class Recorded(search._Rays):
+            def __getitem__(self, p):
+                read.add((self.direction, p))
+                return super().__getitem__(p)
+
+        ray_fill = search._ray_fill
+        monkeypatch.setattr(search, "_ray_fill", counted)
+        monkeypatch.setattr(search, "_Rays", Recorded)
+        checked = escaped = shared = 0
+        for config, _ in _tray_corpus():
+            engine = _Engine(config, radius=0)
+            for state in _bfs_states(engine, SUBSET_MOVE, DEFAULT_SUBSET_CAP):
+                for cap in (2, DEFAULT_SUBSET_CAP):
+                    expected = _escape_at_per_direction(engine, state, cap)
+                    fills, read = 0, set()
+                    assert engine.escape_at(state, cap) == expected
+                    assert fills == len(read) > 0
+                    checked += 1
+                    escaped += expected is not None
+                    # rows that the old pair of _Rays per direction built twice
+                    shared += any((d.opposite, p) in read for d, p in read)
+        assert checked > 300 and 0 < escaped < checked and shared > 0
 
     def test_search_skips_the_move_back_to_the_parent(self, monkeypatch):
         # the reverse of the move that made a state is always legal, and
