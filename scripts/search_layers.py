@@ -193,16 +193,13 @@ def enumerate_metrics(imports):
     cold, warm = [], []
     for _ in range(imports):
         cli = fresh_import("polylock.cli")
-        times = []
-        for _ in range(2):
+        for samples in (cold, warm):
             started = time.perf_counter()
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(ENUMERATE_CLI)
-            times.append(time.perf_counter() - started)
+            samples.append(time.perf_counter() - started)
             if code != 0:
                 raise RuntimeError(f"{' '.join(ENUMERATE_CLI)} exited {code}")
-        cold.append(times[0])
-        warm.append(times[1])
     metrics["enumerate_cli_n8_cold_ms"] = (min(cold) * 1000, "ms")
     metrics["enumerate_cli_n8_warm_ms"] = (min(warm) * 1000, "ms")
     return metrics

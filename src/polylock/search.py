@@ -358,12 +358,13 @@ class _Engine:
       most limit pieces can step along d exactly when it is connected and
       closed under "p's step along d meets q" (`_touch`), and escapes
       along d exactly when it is connected and closed under "p's ray fill
-      along d meets q" (`_Rays`, each row built when first read, once for
-      both d and -d; the fill of a union is the union of the fills). `_closures` grows both kinds.
-      One-step closures are connected, so every move union is; a ray
-      closure need not be, so escapes keep the connected unions only. A
-      state where no ray closure is within the limit has no escape, and its
-      contact graph is never built.
+      along d meets q" (`_Rays`, each row built when first read and shared
+      by d's forward and -d's backward rows; the fill of a union is the
+      union of the fills). `_closures` grows both kinds. One-step closures
+      are connected, so every move union is; a ray closure need not be, so
+      escapes keep the connected unions only. A state where no ray closure
+      is within the limit has no escape, and its contact graph is never
+      built.
     * Sets come by (size, index tuple) and directions as in `DIRECTIONS`,
       so state counts and traces do not depend on the limit's path or on
       the classes: a limit of one yields what the closures would.

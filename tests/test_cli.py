@@ -289,6 +289,10 @@ def test_enumerate_over_the_size_cap_fails(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _enumerate_argv(n, name):
+    return ["enumerate", "-n", str(n)] + (["--filter", name] if name else [])
+
+
 @pytest.mark.parametrize(
     "name, n",
     # the n = 7 cases keep their ids from before n = 8 was added
@@ -305,15 +309,10 @@ def test_enumerate_prints_what_the_tuple_enumerator_prints(name, n, capsys):
         "\n" + emit_grid(Configuration.from_cell_map({"A": cells}))
         for cells in shapes
     )
-    argv = ["enumerate", "-n", str(n)] + (["--filter", name] if name else [])
     cli._enumeration.cache_clear()
     for _ in ("built", "kept"):
-        assert main(argv) == 0
+        assert main(_enumerate_argv(n, name)) == 0
         assert capsys.readouterr().out == expected
-
-
-def _enumerate_argv(n, name):
-    return ["enumerate", "-n", str(n)] + (["--filter", name] if name else [])
 
 
 def test_enumeration_texts_do_not_depend_on_the_order_they_are_built_in(capsys):
@@ -335,7 +334,11 @@ def test_enumeration_texts_do_not_depend_on_the_order_they_are_built_in(capsys):
 
 def test_enumerate_out_of_range_exits_1_and_keeps_nothing(capsys):
     cli._enumeration.cache_clear()
-    bad = [_enumerate_argv(n, name) for n in (0, MAX_ENUMERATION_CELLS + 1) for name in (None, *_FILTERS)]
+    bad = [
+        _enumerate_argv(n, name)
+        for n in (0, MAX_ENUMERATION_CELLS + 1)
+        for name in (None, *_FILTERS)
+    ]
     for levels in ("cold", "warm"):
         if levels == "warm":
             for n in range(1, MAX_ENUMERATION_CELLS + 1):
